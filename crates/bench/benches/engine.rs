@@ -14,8 +14,8 @@ use kdc_graph::gen;
 use std::hint::black_box;
 
 fn bench_word_kernel(c: &mut Criterion) {
-    // The search-heavy planted instances of `bench-snapshot`
-    // (`BENCH_5.json`), where branch-and-bound — not preprocessing —
+    // The search-heavy planted instances of the `bench` baseline
+    // (`BENCH_5.json` onward), where branch-and-bound — not preprocessing —
     // dominates the wall clock; one shared construction keeps this bench
     // and the committed baseline measuring identical instances.
     for (name, g, k) in kdc_bench::collections::planted_snapshot_cases() {

@@ -52,12 +52,12 @@ impl Scale {
     }
 }
 
-/// The search-heavy planted cases of `bench-snapshot` (`BENCH_5.json`):
-/// `(name, graph, k)` triples whose noise is tuned so preprocessing leaves
-/// a real branch-and-bound search. The single source of these generator
-/// parameters — the snapshot bin and the `engine` criterion bench must
-/// measure identical instances, or the committed baseline stops describing
-/// the bench.
+/// The search-heavy planted cases of the `bench` baseline (`BENCH_5.json`
+/// onward): `(name, graph, k)` triples whose noise is tuned so
+/// preprocessing leaves a real branch-and-bound search. The single source
+/// of these generator parameters — the `bench` binary and the `engine`
+/// criterion bench must measure identical instances, or the committed
+/// baseline stops describing the bench.
 pub fn planted_snapshot_cases() -> Vec<(&'static str, Graph, usize)> {
     let (g200, _) = gen::planted_defective_clique(200, 14, 3, 0.30, &mut gen::seeded_rng(13));
     let (g220, _) = gen::planted_defective_clique(220, 14, 3, 0.28, &mut gen::seeded_rng(17));

@@ -679,15 +679,18 @@ pub fn gamma(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// A scratch path. Tests run in parallel, so each test names its own
+    /// files: a shared file could be read while another test rewrites it.
     fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("kdc_cli_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
     }
 
-    fn write_sample() -> String {
+    /// Writes the Figure 2 graph to a file named after the calling test.
+    fn write_sample(test: &str) -> String {
         let g = kdc_graph::named::figure2();
-        let path = tmp("fig2.clq");
+        let path = tmp(&format!("{test}-fig2.clq"));
         kdc_graph::io::write_dimacs(&g, Path::new(&path)).unwrap();
         path
     }
@@ -698,7 +701,7 @@ mod tests {
 
     #[test]
     fn solve_command_runs() {
-        let path = write_sample();
+        let path = write_sample("solve_command_runs");
         solve(&argv(&[&path, "--k", "2"])).unwrap();
         solve(&argv(&[&path, "--k", "1", "--preset", "kdbb"])).unwrap();
         solve(&argv(&[&path, "--k", "1", "--preset", "kdclub"])).unwrap();
@@ -711,7 +714,7 @@ mod tests {
 
     #[test]
     fn solve_threads_flag_parses_and_runs() {
-        let path = write_sample();
+        let path = write_sample("solve_threads_flag_parses_and_runs");
         // Explicit thread counts plumb through to the decomposed solver;
         // 0 means "all cores".
         solve(&argv(&[&path, "--k", "1", "--threads", "2"])).unwrap();
@@ -754,7 +757,7 @@ mod tests {
 
     #[test]
     fn solve_profile_flag_runs() {
-        let path = write_sample();
+        let path = write_sample("solve_profile_flag_runs");
         solve(&argv(&[&path, "--k", "2", "--profile"])).unwrap();
         // --profile combines with the other reporting flags.
         solve(&argv(&[&path, "--k", "2", "--profile", "--stats"])).unwrap();
@@ -762,7 +765,7 @@ mod tests {
 
     #[test]
     fn metrics_command_scrapes_a_live_server() {
-        let path = write_sample();
+        let path = write_sample("metrics_command_scrapes_a_live_server");
         let handle = kdc_service::Server::bind("127.0.0.1:0", 1)
             .unwrap()
             .spawn()
@@ -782,7 +785,7 @@ mod tests {
 
     #[test]
     fn client_drives_a_live_server() {
-        let path = write_sample();
+        let path = write_sample("client_drives_a_live_server");
         let handle = kdc_service::Server::bind("127.0.0.1:0", 1)
             .unwrap()
             .spawn()
@@ -798,7 +801,7 @@ mod tests {
 
     #[test]
     fn solve_command_rejects_bad_input() {
-        let path = write_sample();
+        let path = write_sample("solve_command_rejects_bad_input");
         assert!(solve(&argv(&[&path])).is_err(), "missing --k");
         assert!(solve(&argv(&[&path, "--k", "2", "--preset", "nope"])).is_err());
         assert!(solve(&argv(&["/nonexistent.clq", "--k", "1"])).is_err());
@@ -806,7 +809,7 @@ mod tests {
 
     #[test]
     fn solve_with_certificate_then_verify() {
-        let path = write_sample();
+        let path = write_sample("solve_with_certificate_then_verify");
         let cert = tmp("fig2.cert");
         solve(&argv(&[&path, "--k", "2", "--cert", &cert])).unwrap();
         verify(&argv(&[&path, &cert])).unwrap();
@@ -824,7 +827,7 @@ mod tests {
 
     #[test]
     fn enumerate_command_runs() {
-        let path = write_sample();
+        let path = write_sample("enumerate_command_runs");
         enumerate(&argv(&[&path, "--k", "1", "--top", "3"])).unwrap();
         enumerate(&argv(&[&path, "--k", "0"])).unwrap();
         enumerate(&argv(&[&path, "--k", "1", "--top", "2", "--diversify"])).unwrap();
@@ -836,7 +839,7 @@ mod tests {
 
     #[test]
     fn count_command_runs() {
-        let path = write_sample();
+        let path = write_sample("count_command_runs");
         count(&argv(&[&path, "--k", "1", "--min-size", "5"])).unwrap();
         count(&argv(&[&path, "--k", "0"])).unwrap();
         assert!(count(&argv(&[&path])).is_err(), "missing --k");
@@ -845,7 +848,7 @@ mod tests {
 
     #[test]
     fn solve_watch_and_limit_flags_parse() {
-        let path = write_sample();
+        let path = write_sample("solve_watch_and_limit_flags_parse");
         solve(&argv(&[&path, "--k", "2", "--watch"])).unwrap();
         solve(&argv(&[&path, "--k", "2", "--nodes", "100000"])).unwrap();
         // Hostile limits are rejected by the shared validators.
@@ -895,13 +898,13 @@ mod tests {
 
     #[test]
     fn stats_command_runs() {
-        let path = write_sample();
+        let path = write_sample("stats_command_runs");
         stats(&argv(&[&path])).unwrap();
     }
 
     #[test]
     fn convert_roundtrips_formats() {
-        let path = write_sample();
+        let path = write_sample("convert_roundtrips_formats");
         let metis = tmp("fig2.graph");
         let edges = tmp("fig2.txt");
         convert(&argv(&[&path, &metis])).unwrap();
