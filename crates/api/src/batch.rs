@@ -31,9 +31,9 @@
 //! their own), mirrored on the session counters and the `kdc_session_batch_*`
 //! registry series.
 
-use crate::query::{Budget, CacheInfo, Event, Observer, Options, Outcome};
-use crate::session::{apply_budget, flush_solve_metrics, CtcpKey, Session, SolveKey};
-use kdc::{decompose, EventHook, Solver, Status};
+use crate::query::{Budget, Event, Observer, Options, Outcome};
+use crate::session::{Session, SweepHints};
+use kdc::Status;
 use kdc_graph::VertexId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -286,7 +286,7 @@ impl<'a> BatchExec<'a> {
 
     /// Runs the plan to completion and returns the per-sub-query answers
     /// plus shared-work counters. Also folds the counters into the session
-    /// atomics and their `kdc_session_batch_*` registry twins.
+    /// counter block (and so the `kdc_session_batch_*` series).
     ///
     /// # Errors
     ///
@@ -360,129 +360,66 @@ impl<'a> BatchExec<'a> {
         }
     }
 
-    /// One maximum-solve entry: memo dedup, cross-`k` seed + cap, shared
-    /// reducer tightening, then the search itself.
+    /// One maximum-solve entry. The sweep only plans (the shared reducer
+    /// schedule, the cross-`k` seed and cap) and books (shared-work
+    /// counters, feasible and proven witnesses); the solve itself is the
+    /// session's one pipeline.
     fn run_solve(&mut self, group: &PlanGroup, k: usize) -> Result<Outcome, String> {
-        let t0 = Instant::now();
-        let memo_key = group.options.memo_preset().map(|preset| SolveKey {
-            k,
-            preset: preset.to_string(),
-        });
-        if let Some(key) = &memo_key {
-            if let Some(solution) = self.session.cached_result(key) {
-                // Answered by the proven-optimal memo: no search of its
-                // own, but its witness still feeds the sweep.
-                self.dedups += 1;
-                self.note_proven(k, &solution.vertices);
-                return Ok(Outcome {
-                    witnesses: vec![solution.vertices],
-                    counts: None,
-                    status: solution.status,
-                    stats: solution.stats,
-                    cache: CacheInfo {
-                        result_memo_hit: true,
-                        ctcp_evictions: self.session.ctcp_evictions_snapshot(),
-                        ..CacheInfo::default()
-                    },
-                    elapsed: t0.elapsed(),
-                });
-            }
-        }
-        let mut config = group.options.resolve()?;
-        apply_budget(&mut config, &self.sub_budget());
-        config.trace = self.trace.clone();
-        config.shared_peeling = Some(self.session.peeling());
-        let (ctcp, ctcp_resumed) = self.session.ctcp_state(CtcpKey {
-            k,
-            core_rule: config.enable_rr5,
-            truss_rule: config.enable_rr6,
-        });
-        // The shared-universe pass: fold every witness size this batch has
-        // produced at k' ≤ k into the resident reducer, unsorted and with
-        // whatever duplicates accumulated — `tighten_batch` reduces by
-        // maximum. The schedule never exceeds the seed installed below, so
-        // the solver's `resident reducer lb ≤ initial lb` invariant holds
-        // and the tightening only discards solutions the seed already
-        // dominates.
+        // The shared-universe pass: every witness size this batch has
+        // produced at k' ≤ k, unsorted and with whatever duplicates
+        // accumulated — `tighten_batch` reduces by maximum. The schedule
+        // never exceeds the seed below, so the solver's `resident reducer
+        // lb ≤ initial lb` invariant holds and the tightening only discards
+        // solutions the seed already dominates.
         let schedule: Vec<usize> = self
             .feasible
             .range(..=k)
             .map(|(_, w)| w.len())
             .filter(|&s| s > 0)
             .collect();
-        if !schedule.is_empty() {
-            ctcp.lock()
-                .map_err(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|g| g)
-                .tighten_batch(&schedule);
-            self.shares += 1;
-        }
-        config.shared_ctcp = Some(ctcp);
-        // Seed: the larger of the session's best known witness and the
-        // best feasible witness this batch produced at any k' ≤ k. The
-        // batch counter only fires when the batch strictly beat the
-        // session's prior knowledge.
-        let session_seed = self.session.best_known(k);
-        let batch_seed = self.batch_seed(k);
-        let session_len = session_seed.as_ref().map_or(0, Vec::len);
-        let seed = match batch_seed {
-            Some(w) if w.len() > session_len => {
-                self.seeds += 1;
-                Some(w)
-            }
-            _ => session_seed,
-        };
-        let seeded = seed.is_some();
-        config.seed_solution = seed;
+        // Seed: the best feasible witness this batch produced at any
+        // k' ≤ k, when it strictly beats the session's prior knowledge
+        // (otherwise the pipeline seeds from the session as usual).
+        let session_len = self.session.best_known(k).map_or(0, |w| w.len());
+        let seed = self.batch_seed(k).filter(|w| w.len() > session_len);
+        let batch_seeded = seed.is_some();
         // Cap: every proven optimum bounds this k. Backwards, optima are
         // monotone (`opt(k) ≤ opt(k0)` for `k ≤ k0`); forwards, removing a
         // vertex incident to a missing edge gives `opt(k) ≤ opt(k0) + (k −
         // k0)`. The cap is checked only against the incumbent — never used
         // for pruning — so the reported witness matches an uncapped run.
-        config.known_ub = self
+        let known_ub = self
             .proven
             .iter()
             .map(|(&k0, &s0)| if k >= k0 { s0 + (k - k0) } else { s0 })
             .min();
-        if let Some(obs) = self.observer.clone() {
-            config.on_event = Some(EventHook::new(move |e| {
-                obs.event(&Event::from_solve(e));
-            }));
-        }
-        self.session.note_real_solve();
-        let solution = if self.budget.threads == 1 {
-            Solver::new(self.session.graph(), k, config).solve()
-        } else {
-            let threads = Session::clamped_threads(self.budget);
-            decompose::solve_decomposed(self.session.graph(), k, config, threads)
-        };
-        self.session.record_best_known(k, &solution.vertices);
-        flush_solve_metrics(
-            group.options.preset_name(),
-            &solution.stats,
-            t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
-        self.note_feasible(k, &solution.vertices);
-        if solution.is_optimal() {
-            self.note_proven(k, &solution.vertices);
-            if let Some(key) = memo_key {
-                self.session.memoize_result(key, solution.clone());
-            }
-        }
-        Ok(Outcome {
-            witnesses: vec![solution.vertices],
-            counts: None,
-            status: solution.status,
-            stats: solution.stats,
-            cache: CacheInfo {
-                result_memo_hit: false,
-                ctcp_resumed,
-                peeling_shared: true,
-                seeded,
-                ctcp_evictions: self.session.ctcp_evictions_snapshot(),
+        let outcome = self.session.run_solve(
+            k,
+            &self.sub_budget(),
+            &group.options,
+            self.observer.clone(),
+            self.trace.clone(),
+            SweepHints {
+                schedule: &schedule,
+                seed,
+                known_ub,
             },
-            elapsed: t0.elapsed(),
-        })
+        )?;
+        // A memo answer ran no search of its own, so it shared nothing;
+        // its witness still feeds the sweep.
+        if outcome.cache.result_memo_hit {
+            self.dedups += 1;
+        } else {
+            self.shares += u64::from(!schedule.is_empty());
+            self.seeds += u64::from(batch_seeded);
+        }
+        let witness = outcome.best().unwrap_or_default();
+        if outcome.is_optimal() {
+            self.note_proven(k, witness);
+        } else {
+            self.note_feasible(k, witness);
+        }
+        Ok(outcome)
     }
 
     /// One top-`r` enumeration entry: runs uncapped and unseeded (a
@@ -552,10 +489,7 @@ impl<'a> BatchExec<'a> {
             counts: None,
             status,
             stats: kdc::SearchStats::default(),
-            cache: CacheInfo {
-                ctcp_evictions: self.session.ctcp_evictions_snapshot(),
-                ..CacheInfo::default()
-            },
+            cache: self.session.cache_info(),
             elapsed: Duration::ZERO,
         }
     }

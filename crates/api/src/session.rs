@@ -8,7 +8,6 @@ use kdc_graph::degeneracy::{self, Peeling};
 use kdc_graph::{Graph, VertexId};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -21,47 +20,67 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Process-global registry twins of the [`SessionCounters`] plus the solve
-/// telemetry series. Handles are registered once and shared by every
-/// session in the process: the per-session atomics stay the source of truth
-/// for warm-vs-cold assertions, while these aggregate across sessions for
-/// the `METRICS` exposition.
-pub(crate) struct SessionObs {
-    peel_builds: kdc_obs::Counter,
-    pub(crate) solves: kdc_obs::Counter,
-    result_hits: kdc_obs::Counter,
-    ctcp_builds: kdc_obs::Counter,
-    ctcp_resumes: kdc_obs::Counter,
-    ctcp_evictions: kdc_obs::Counter,
-    memo_evictions: kdc_obs::Counter,
-    recovered_witnesses: kdc_obs::Counter,
-    recovered_memos: kdc_obs::Counter,
-    pub(crate) batch_ctcp_shares: kdc_obs::Counter,
-    pub(crate) batch_witness_seeds: kdc_obs::Counter,
-    pub(crate) batch_memo_dedups: kdc_obs::Counter,
+/// The session counters, named once. Each is one slot of the session's
+/// [`kdc_obs::CounterBlock`] and one `kdc_session_<name>_total` series;
+/// [`SessionCounters`] and the daemon's `STATS <graph>` line read the
+/// block. Variant order must match [`session_totals`] and
+/// [`SessionCounters::fields`].
+#[derive(Clone, Copy)]
+enum SessionCounter {
+    PeelBuilds,
+    Solves,
+    ResultHits,
+    CtcpBuilds,
+    CtcpResumes,
+    CtcpEvictions,
+    MemoEvictions,
+    RecoveredWitnesses,
+    RecoveredMemos,
+    BatchCtcpShares,
+    BatchWitnessSeeds,
+    BatchMemoDedups,
+}
+
+/// Number of [`SessionCounter`]s.
+const SESSION_COUNTERS: usize = 12;
+
+/// The process-wide `kdc_session_*_total` series, registered once and
+/// indexed by [`SessionCounter`].
+fn session_totals() -> &'static [kdc_obs::Counter; SESSION_COUNTERS] {
+    static TOTALS: OnceLock<[kdc_obs::Counter; SESSION_COUNTERS]> = OnceLock::new();
+    TOTALS.get_or_init(|| {
+        let r = kdc_obs::registry();
+        [
+            r.register_counter("kdc_session_peel_builds_total"),
+            r.register_counter("kdc_session_solves_total"),
+            r.register_counter("kdc_session_result_hits_total"),
+            r.register_counter("kdc_session_ctcp_builds_total"),
+            r.register_counter("kdc_session_ctcp_resumes_total"),
+            r.register_counter("kdc_session_ctcp_evictions_total"),
+            r.register_counter("kdc_session_memo_evictions_total"),
+            r.register_counter("kdc_session_recovered_witnesses_total"),
+            r.register_counter("kdc_session_recovered_memos_total"),
+            r.register_counter("kdc_session_batch_ctcp_shares_total"),
+            r.register_counter("kdc_session_batch_witness_seeds_total"),
+            r.register_counter("kdc_session_batch_memo_dedups_total"),
+        ]
+    })
+}
+
+/// Process-global solve telemetry series: the latency histogram and the
+/// per-bound cost columns, registered once.
+struct SolveObs {
     solve_ns: kdc_obs::Histogram,
     bound_invocations: [kdc_obs::Counter; bound::COUNT],
     bound_prunes: [kdc_obs::Counter; bound::COUNT],
     bound_ns: [kdc_obs::Counter; bound::COUNT],
 }
 
-pub(crate) fn session_obs() -> &'static SessionObs {
-    static OBS: OnceLock<SessionObs> = OnceLock::new();
+fn solve_obs() -> &'static SolveObs {
+    static OBS: OnceLock<SolveObs> = OnceLock::new();
     OBS.get_or_init(|| {
         let r = kdc_obs::registry();
-        SessionObs {
-            peel_builds: r.register_counter("kdc_session_peel_builds_total"),
-            solves: r.register_counter("kdc_session_solves_total"),
-            result_hits: r.register_counter("kdc_session_result_hits_total"),
-            ctcp_builds: r.register_counter("kdc_session_ctcp_builds_total"),
-            ctcp_resumes: r.register_counter("kdc_session_ctcp_resumes_total"),
-            ctcp_evictions: r.register_counter("kdc_session_ctcp_evictions_total"),
-            memo_evictions: r.register_counter("kdc_session_memo_evictions_total"),
-            recovered_witnesses: r.register_counter("kdc_session_recovered_witnesses_total"),
-            recovered_memos: r.register_counter("kdc_session_recovered_memos_total"),
-            batch_ctcp_shares: r.register_counter("kdc_session_batch_ctcp_shares_total"),
-            batch_witness_seeds: r.register_counter("kdc_session_batch_witness_seeds_total"),
-            batch_memo_dedups: r.register_counter("kdc_session_batch_memo_dedups_total"),
+        SolveObs {
             solve_ns: r.register_histogram("kdc_session_solve_duration_ns"),
             bound_invocations: std::array::from_fn(|i| {
                 r.register_counter_labeled(
@@ -82,11 +101,11 @@ pub(crate) fn session_obs() -> &'static SessionObs {
 
 /// Publishes one finished solve's telemetry to the global registry: the
 /// latency sample, per-preset node count and per-bound cost columns.
-pub(crate) fn flush_solve_metrics(preset: &str, stats: &kdc::SearchStats, elapsed_ns: u64) {
+fn flush_solve_metrics(preset: &str, stats: &kdc::SearchStats, elapsed_ns: u64) {
     if !kdc_obs::enabled() {
         return;
     }
-    let obs = session_obs();
+    let obs = solve_obs();
     obs.solve_ns.observe(elapsed_ns);
     kdc_obs::registry()
         .register_counter_labeled("kdc_session_nodes_total", "preset", preset)
@@ -169,6 +188,27 @@ pub struct SessionCounters {
     pub recovered_memos: u64,
 }
 
+impl SessionCounters {
+    /// Every counter as a `(name, value)` pair, in `STATS` order. Each name
+    /// is also the process-wide `kdc_session_<name>_total` series.
+    pub fn fields(&self) -> [(&'static str, u64); SESSION_COUNTERS] {
+        [
+            ("peel_builds", self.peel_builds),
+            ("solves", self.solves),
+            ("result_hits", self.result_hits),
+            ("ctcp_builds", self.ctcp_builds),
+            ("ctcp_resumes", self.ctcp_resumes),
+            ("ctcp_evictions", self.ctcp_evictions),
+            ("memo_evictions", self.memo_evictions),
+            ("recovered_witnesses", self.recovered_witnesses),
+            ("recovered_memos", self.recovered_memos),
+            ("batch_ctcp_shares", self.batch_ctcp_shares),
+            ("batch_witness_seeds", self.batch_witness_seeds),
+            ("batch_memo_dedups", self.batch_memo_dedups),
+        ]
+    }
+}
+
 /// The exportable warm state of a [`Session`]: everything the durable
 /// store persists and recovery feeds back through
 /// [`Session::import_state`]. Witnesses are `(k, vertices)` pairs; memos
@@ -229,18 +269,7 @@ pub struct Session {
     ctcp: Mutex<CtcpCache>,
     results: Mutex<MemoCache>,
     best_known: Mutex<HashMap<usize, Vec<VertexId>>>,
-    peel_builds: AtomicU64,
-    solves: AtomicU64,
-    result_hits: AtomicU64,
-    ctcp_builds: AtomicU64,
-    ctcp_resumes: AtomicU64,
-    ctcp_evictions: AtomicU64,
-    memo_evictions: AtomicU64,
-    recovered_witnesses: AtomicU64,
-    recovered_memos: AtomicU64,
-    batch_ctcp_shares: AtomicU64,
-    batch_witness_seeds: AtomicU64,
-    batch_memo_dedups: AtomicU64,
+    counters: kdc_obs::CounterBlock<SESSION_COUNTERS>,
 }
 
 impl std::fmt::Debug for Session {
@@ -276,18 +305,7 @@ impl Session {
                 map: HashMap::new(),
             }),
             best_known: Mutex::new(HashMap::new()),
-            peel_builds: AtomicU64::new(0),
-            solves: AtomicU64::new(0),
-            result_hits: AtomicU64::new(0),
-            ctcp_builds: AtomicU64::new(0),
-            ctcp_resumes: AtomicU64::new(0),
-            ctcp_evictions: AtomicU64::new(0),
-            memo_evictions: AtomicU64::new(0),
-            recovered_witnesses: AtomicU64::new(0),
-            recovered_memos: AtomicU64::new(0),
-            batch_ctcp_shares: AtomicU64::new(0),
-            batch_witness_seeds: AtomicU64::new(0),
-            batch_memo_dedups: AtomicU64::new(0),
+            counters: kdc_obs::CounterBlock::new(session_totals()),
         }
     }
 
@@ -322,8 +340,7 @@ impl Session {
         memo.cap = cap;
         while memo.map.len() > cap {
             evict_lru_memo(&mut memo);
-            self.memo_evictions.fetch_add(1, Ordering::Relaxed);
-            session_obs().memo_evictions.inc();
+            self.bump(SessionCounter::MemoEvictions, 1);
         }
         drop(memo);
         self
@@ -339,8 +356,7 @@ impl Session {
     pub fn peeling(&self) -> Arc<Peeling> {
         self.peeling
             .get_or_init(|| {
-                self.peel_builds.fetch_add(1, Ordering::Relaxed);
-                session_obs().peel_builds.inc();
+                self.bump(SessionCounter::PeelBuilds, 1);
                 Arc::new(degeneracy::peel(&self.graph))
             })
             .clone()
@@ -353,19 +369,34 @@ impl Session {
 
     /// A snapshot of the usage counters.
     pub fn counters(&self) -> SessionCounters {
+        let get = |c: SessionCounter| self.counters.get(c as usize);
         SessionCounters {
-            peel_builds: self.peel_builds.load(Ordering::Relaxed),
-            solves: self.solves.load(Ordering::Relaxed),
-            result_hits: self.result_hits.load(Ordering::Relaxed),
-            ctcp_builds: self.ctcp_builds.load(Ordering::Relaxed),
-            ctcp_resumes: self.ctcp_resumes.load(Ordering::Relaxed),
-            ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
-            batch_ctcp_shares: self.batch_ctcp_shares.load(Ordering::Relaxed),
-            batch_witness_seeds: self.batch_witness_seeds.load(Ordering::Relaxed),
-            batch_memo_dedups: self.batch_memo_dedups.load(Ordering::Relaxed),
-            memo_evictions: self.memo_evictions.load(Ordering::Relaxed),
-            recovered_witnesses: self.recovered_witnesses.load(Ordering::Relaxed),
-            recovered_memos: self.recovered_memos.load(Ordering::Relaxed),
+            peel_builds: get(SessionCounter::PeelBuilds),
+            solves: get(SessionCounter::Solves),
+            result_hits: get(SessionCounter::ResultHits),
+            ctcp_builds: get(SessionCounter::CtcpBuilds),
+            ctcp_resumes: get(SessionCounter::CtcpResumes),
+            ctcp_evictions: get(SessionCounter::CtcpEvictions),
+            batch_ctcp_shares: get(SessionCounter::BatchCtcpShares),
+            batch_witness_seeds: get(SessionCounter::BatchWitnessSeeds),
+            batch_memo_dedups: get(SessionCounter::BatchMemoDedups),
+            memo_evictions: get(SessionCounter::MemoEvictions),
+            recovered_witnesses: get(SessionCounter::RecoveredWitnesses),
+            recovered_memos: get(SessionCounter::RecoveredMemos),
+        }
+    }
+
+    /// Counts `n` on the session and in its `kdc_session_*_total` series.
+    fn bump(&self, counter: SessionCounter, n: u64) {
+        self.counters.bump(counter as usize, n);
+    }
+
+    /// A [`CacheInfo`] with nothing reused, stamped with the session's
+    /// reducer eviction count.
+    pub(crate) fn cache_info(&self) -> CacheInfo {
+        CacheInfo {
+            ctcp_evictions: self.counters.get(SessionCounter::CtcpEvictions as usize),
+            ..CacheInfo::default()
         }
     }
 
@@ -428,15 +459,8 @@ impl Session {
             self.memoize_result(key.clone(), solution.clone());
             memos += 1;
         }
-        if witnesses > 0 {
-            self.recovered_witnesses
-                .fetch_add(witnesses, Ordering::Relaxed);
-            session_obs().recovered_witnesses.add(witnesses);
-        }
-        if memos > 0 {
-            self.recovered_memos.fetch_add(memos, Ordering::Relaxed);
-            session_obs().recovered_memos.add(memos);
-        }
+        self.bump(SessionCounter::RecoveredWitnesses, witnesses);
+        self.bump(SessionCounter::RecoveredMemos, memos);
         (witnesses, memos)
     }
 
@@ -449,7 +473,7 @@ impl Session {
     /// the stored witness. Witnesses come straight out of the solver, so
     /// they are trusted here (and re-validated by the solver when seeded
     /// back in).
-    pub(crate) fn record_best_known(&self, k: usize, vertices: &[VertexId]) {
+    fn record_best_known(&self, k: usize, vertices: &[VertexId]) {
         let mut map = lock_unpoisoned(&self.best_known);
         let entry = map.entry(k).or_default();
         if vertices.len() > entry.len() {
@@ -459,7 +483,7 @@ impl Session {
 
     /// A memoized proven-optimal result for `key`, if any. A hit refreshes
     /// the entry's LRU stamp.
-    pub(crate) fn cached_result(&self, key: &SolveKey) -> Option<Solution> {
+    fn cached_result(&self, key: &SolveKey) -> Option<Solution> {
         let mut memo = lock_unpoisoned(&self.results);
         memo.tick += 1;
         let tick = memo.tick;
@@ -469,8 +493,7 @@ impl Session {
         });
         drop(memo);
         if found.is_some() {
-            self.result_hits.fetch_add(1, Ordering::Relaxed);
-            session_obs().result_hits.inc();
+            self.bump(SessionCounter::ResultHits, 1);
         }
         found
     }
@@ -478,18 +501,16 @@ impl Session {
     /// The resident CTCP reducer for `key`, built on first use and resumed
     /// from then on; returns `(reducer, resumed)`. Evicts the
     /// least-recently-used slot when the cache is full.
-    pub(crate) fn ctcp_state(&self, key: CtcpKey) -> (Arc<Mutex<Ctcp>>, bool) {
+    fn ctcp_state(&self, key: CtcpKey) -> (Arc<Mutex<Ctcp>>, bool) {
         let mut cache = lock_unpoisoned(&self.ctcp);
         cache.tick += 1;
         let tick = cache.tick;
         if let Some(slot) = cache.slots.iter_mut().find(|s| s.key == key) {
             slot.last_used = tick;
-            self.ctcp_resumes.fetch_add(1, Ordering::Relaxed);
-            session_obs().ctcp_resumes.inc();
+            self.bump(SessionCounter::CtcpResumes, 1);
             return (slot.reducer.clone(), true);
         }
-        self.ctcp_builds.fetch_add(1, Ordering::Relaxed);
-        session_obs().ctcp_builds.inc();
+        self.bump(SessionCounter::CtcpBuilds, 1);
         let fresh = Arc::new(Mutex::new(Ctcp::with_rules(
             &self.graph,
             key.k,
@@ -507,8 +528,7 @@ impl Session {
                 }
             }
             cache.slots.swap_remove(lru);
-            self.ctcp_evictions.fetch_add(1, Ordering::Relaxed);
-            session_obs().ctcp_evictions.inc();
+            self.bump(SessionCounter::CtcpEvictions, 1);
         }
         cache.slots.push(CtcpSlot {
             key,
@@ -535,7 +555,7 @@ impl Session {
 
     /// Inserts a proven-optimal solution into the bounded result memo,
     /// evicting the least-recently-used entry at capacity.
-    pub(crate) fn memoize_result(&self, key: SolveKey, solution: Solution) {
+    fn memoize_result(&self, key: SolveKey, solution: Solution) {
         let mut memo = lock_unpoisoned(&self.results);
         if memo.cap == 0 {
             return;
@@ -549,8 +569,7 @@ impl Session {
         }
         if memo.map.len() >= memo.cap {
             evict_lru_memo(&mut memo);
-            self.memo_evictions.fetch_add(1, Ordering::Relaxed);
-            session_obs().memo_evictions.inc();
+            self.bump(SessionCounter::MemoEvictions, 1);
         }
         memo.map.insert(
             key,
@@ -561,35 +580,12 @@ impl Session {
         );
     }
 
-    /// Counts one real (non-memo) search, on the session and its registry
-    /// twin.
-    pub(crate) fn note_real_solve(&self) {
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        session_obs().solves.inc();
-    }
-
     /// Folds one finished batch's shared-work counters into the session
-    /// atomics and their registry twins.
+    /// counter block.
     pub(crate) fn note_batch_shared_work(&self, shares: u64, seeds: u64, dedups: u64) {
-        self.batch_ctcp_shares.fetch_add(shares, Ordering::Relaxed);
-        self.batch_witness_seeds.fetch_add(seeds, Ordering::Relaxed);
-        self.batch_memo_dedups.fetch_add(dedups, Ordering::Relaxed);
-        let obs = session_obs();
-        obs.batch_ctcp_shares.add(shares);
-        obs.batch_witness_seeds.add(seeds);
-        obs.batch_memo_dedups.add(dedups);
-    }
-
-    /// Session-lifetime reducer eviction count, as sampled into
-    /// [`CacheInfo::ctcp_evictions`].
-    pub(crate) fn ctcp_evictions_snapshot(&self) -> u64 {
-        self.ctcp_evictions.load(Ordering::Relaxed)
-    }
-
-    /// The thread count a budget is allowed to spend (see
-    /// [`Budget::threads`]; clamped server-side).
-    pub(crate) fn clamped_threads(budget: &Budget) -> usize {
-        budget.threads.min(MAX_SOLVE_THREADS)
+        self.bump(SessionCounter::BatchCtcpShares, shares);
+        self.bump(SessionCounter::BatchWitnessSeeds, seeds);
+        self.bump(SessionCounter::BatchMemoDedups, dedups);
     }
 
     /// Convenience wrapper: [`Session::run`] with `Solve { k }` and default
@@ -657,7 +653,14 @@ impl Session {
         trace: Option<kdc_obs::Tracer>,
     ) -> Result<Outcome, String> {
         let outcome = match query {
-            Query::Solve { k } => self.run_solve(*k, budget, options, observer.clone(), trace),
+            Query::Solve { k } => self.run_solve(
+                *k,
+                budget,
+                options,
+                observer.clone(),
+                trace,
+                SweepHints::default(),
+            ),
             Query::Enumerate { k } => self.run_top_r(*k, usize::MAX, false, budget, options),
             Query::TopR { k, r, diversify } => self.run_top_r(*k, *r, *diversify, budget, options),
             Query::Count { k, min_size } => self.run_count(*k, *min_size, budget),
@@ -682,10 +685,7 @@ impl Session {
                     counts: None,
                     status,
                     stats,
-                    cache: CacheInfo {
-                        ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
-                        ..CacheInfo::default()
-                    },
+                    cache: self.cache_info(),
                     elapsed: t0.elapsed(),
                 })
             }
@@ -698,13 +698,21 @@ impl Session {
         Ok(outcome)
     }
 
-    fn run_solve(
+    /// The one cold-solve pipeline behind every `Solve`, plain or batched:
+    /// memo lookup, config resolve, budget, the cached peeling, the
+    /// resident reducer, the witness seed, the observer, the search itself
+    /// (sequential [`Solver`] or [`decompose::solve_decomposed`]), then
+    /// witness record, metrics flush and memoization. A batch sweep passes
+    /// what it learned from earlier sub-queries as `hints`; a plain solve
+    /// passes [`SweepHints::default`].
+    pub(crate) fn run_solve(
         &self,
         k: usize,
         budget: &Budget,
         options: &Options,
         observer: Option<Arc<dyn Observer>>,
         trace: Option<kdc_obs::Tracer>,
+        hints: SweepHints<'_>,
     ) -> Result<Outcome, String> {
         let t0 = Instant::now();
         let memo_key = options.memo_preset().map(|preset| SolveKey {
@@ -720,8 +728,7 @@ impl Session {
                     stats: solution.stats,
                     cache: CacheInfo {
                         result_memo_hit: true,
-                        ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
-                        ..CacheInfo::default()
+                        ..self.cache_info()
                     },
                     elapsed: t0.elapsed(),
                 });
@@ -740,17 +747,22 @@ impl Session {
             core_rule: config.enable_rr5,
             truss_rule: config.enable_rr6,
         });
+        if !hints.schedule.is_empty() {
+            lock_unpoisoned(&ctcp).tighten_batch(hints.schedule);
+        }
         config.shared_ctcp = Some(ctcp);
-        let seed = self.best_known(k);
+        let seed = hints.seed.or_else(|| self.best_known(k));
         let seeded = seed.is_some();
         config.seed_solution = seed;
+        if hints.known_ub.is_some() {
+            config.known_ub = hints.known_ub;
+        }
         if let Some(obs) = observer {
             config.on_event = Some(EventHook::new(move |e| {
                 obs.event(&Event::from_solve(e));
             }));
         }
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        session_obs().solves.inc();
+        self.bump(SessionCounter::Solves, 1);
         let solution = if budget.threads == 1 {
             Solver::new(&self.graph, k, config).solve()
         } else {
@@ -774,11 +786,10 @@ impl Session {
             status: solution.status,
             stats: solution.stats,
             cache: CacheInfo {
-                result_memo_hit: false,
                 ctcp_resumed,
                 peeling_shared: true,
                 seeded,
-                ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
+                ..self.cache_info()
             },
             elapsed: t0.elapsed(),
         })
@@ -813,10 +824,7 @@ impl Session {
             // enumeration short: the pool may be truncated.
             status: result.status,
             stats: kdc::SearchStats::default(),
-            cache: CacheInfo {
-                ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
-                ..CacheInfo::default()
-            },
+            cache: self.cache_info(),
             elapsed: t0.elapsed(),
         })
     }
@@ -839,17 +847,14 @@ impl Session {
             counts: Some(counts),
             status,
             stats: kdc::SearchStats::default(),
-            cache: CacheInfo {
-                ctcp_evictions: self.ctcp_evictions.load(Ordering::Relaxed),
-                ..CacheInfo::default()
-            },
+            cache: self.cache_info(),
             elapsed: t0.elapsed(),
         })
     }
 }
 
 /// Removes the least-recently-used entry of a full memo. Callers count the
-/// eviction on the session and its registry twin.
+/// eviction.
 fn evict_lru_memo(memo: &mut MemoCache) {
     let victim = memo
         .map
@@ -861,10 +866,25 @@ fn evict_lru_memo(memo: &mut MemoCache) {
     }
 }
 
+/// What a batch sweep knows beyond a plain solve (see [`crate::batch`]).
+/// The default carries nothing: a plain solve.
+#[derive(Default)]
+pub(crate) struct SweepHints<'a> {
+    /// Witness sizes other sub-queries produced, folded into the resident
+    /// reducer by one [`Ctcp::tighten_batch`] pass before the search. Never
+    /// above the seed, so the reducer's bound stays one this solve can
+    /// justify.
+    pub(crate) schedule: &'a [usize],
+    /// A witness to seed with in place of the session's best known one.
+    pub(crate) seed: Option<Vec<VertexId>>,
+    /// A proven upper bound on the optimum; reaching it ends the search.
+    pub(crate) known_ub: Option<usize>,
+}
+
 /// Installs a budget's limits on a config. Budget values win when present;
 /// values an embedder set on an [`Options::custom`] configuration survive
 /// an unlimited (default) budget instead of being silently clobbered.
-pub(crate) fn apply_budget(config: &mut kdc::SolverConfig, budget: &Budget) {
+fn apply_budget(config: &mut kdc::SolverConfig, budget: &Budget) {
     if budget.time_limit.is_some() {
         config.time_limit = budget.time_limit;
     }

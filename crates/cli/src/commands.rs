@@ -314,18 +314,12 @@ pub(crate) fn solve_on_session(session: &Session, a: &SolveArgs) -> Result<ExitC
             "ctcp: vertex-removals {} edge-removals {}",
             s.ctcp_vertex_removals, s.ctcp_edge_removals
         );
-        // Per-bound cumulative time comes from the process-wide metrics
-        // registry (register_* is get-or-create, so this reads the same
-        // handles the solver flushed into).
-        let reg = kdc_obs::registry();
+        // Per-bound time of this solve (a memo answer reports the search
+        // that proved it).
         let bound_times: Vec<String> = kdc::bound::NAMES
             .iter()
-            .map(|name| {
-                let ns = reg
-                    .register_counter_labeled("kdc_core_bound_ns_total", "bound", name)
-                    .get();
-                format!("{name}={:.2}", ns as f64 / 1e6)
-            })
+            .zip(&s.bound_costs)
+            .map(|(name, cost)| format!("{name}={:.2}", cost.ns as f64 / 1e6))
             .collect();
         println!(
             "bounds: prunes {} (ub1 {} kdclub {}) time-ms {}",

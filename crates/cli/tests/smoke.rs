@@ -85,8 +85,8 @@ fn solve_stats_prints_reduction_counters() {
     let text = stdout(&out);
     assert!(text.contains("ctcp: vertex-removals"), "output: {text}");
     assert!(text.contains("bounds: prunes"), "output: {text}");
-    // The registry twin of the per-bound cost counters feeds a cumulative
-    // time section onto the bounds line.
+    // The solve's own per-bound costs feed a time section onto the
+    // bounds line.
     assert!(text.contains("time-ms ub2="), "output: {text}");
     assert!(text.contains("kdclub"), "output: {text}");
     assert!(text.contains("arena: reuses"), "output: {text}");

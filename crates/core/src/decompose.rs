@@ -224,27 +224,13 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
         threads
     };
 
-    // One CTCP-reduced universe shared by every ego subproblem: tighten the
-    // (possibly resident) reducer to the initial bound and extract once,
-    // atomically — if a concurrent solve already tightened the resident
-    // reducer past our bound, its universe may be missing solutions we must
-    // find, so fall back to a private reducer.
-    let ctcp = crate::solver::resident_ctcp(g, k, &config, initial.len());
-    let (removed_v, removed_e, red_adj, keep) = {
-        let mut c = ctcp.lock().expect("poisoned");
-        let rem = c.tighten(initial.len());
-        if c.lb() <= initial.len() {
-            let (adj, keep) = c.extract_universe();
-            (rem.vertices.len() as u64, rem.edges, adj, keep)
-        } else {
-            drop(c);
-            let mut private =
-                kdc_graph::ctcp::Ctcp::with_rules(g, k, config.enable_rr5, config.enable_rr6);
-            let rem = private.tighten(initial.len());
-            let (adj, keep) = private.extract_universe();
-            (rem.vertices.len() as u64, rem.edges, adj, keep)
-        }
-    };
+    // One CTCP-reduced universe shared by every ego subproblem: the
+    // (possibly resident) reducer tightened to the initial bound, verified
+    // and extracted once.
+    let mut ctcp = crate::solver::resident_ctcp(g, k, &config, initial.len());
+    let (rem, red_adj, keep) =
+        crate::solver::verified_universe(&mut ctcp, g, k, &config, initial.len());
+    let (removed_v, removed_e) = (rem.vertices.len() as u64, rem.edges);
     let n_red = keep.len();
     let red_m = red_adj.iter().map(Vec::len).sum::<usize>() / 2;
     if let Some(hook) = &config.on_event {

@@ -16,7 +16,7 @@ use crate::config::{InitialHeuristic, SolveEvent, SolverConfig};
 use crate::engine::Engine;
 use crate::heuristic;
 use crate::stats::{SearchStats, Solution, Status};
-use kdc_graph::ctcp::Ctcp;
+use kdc_graph::ctcp::{Ctcp, Removals};
 use kdc_graph::degeneracy;
 use kdc_graph::graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,28 +114,11 @@ impl<'g> Solver<'g> {
                 status = Status::Optimal;
                 break;
             }
-            // Atomically verify-and-extract: a resident reducer may have
-            // been tightened past our incumbent by a concurrent solve, in
-            // which case its universe no longer contains every solution
-            // larger than *our* bound — fall back to a private reducer for
-            // the rest of this solve.
-            let (adj, keep) = {
-                let c = ctcp.lock().expect("poisoned");
-                if c.lb() > best.len() {
-                    drop(c);
-                    ctcp = Arc::new(Mutex::new(Ctcp::with_rules(
-                        graph,
-                        k,
-                        config.enable_rr5,
-                        config.enable_rr6,
-                    )));
-                    let mut c = ctcp.lock().expect("poisoned");
-                    c.tighten(best.len());
-                    c.extract_universe()
-                } else {
-                    c.extract_universe()
-                }
-            };
+            let (rem, adj, keep) = verified_universe(&mut ctcp, graph, k, &config, best.len());
+            removed
+                .0
+                .fetch_add(rem.vertices.len() as u64, Ordering::Relaxed);
+            removed.1.fetch_add(rem.edges, Ordering::Relaxed);
             stats.universe_rebuilds += 1;
             if stats.universe_rebuilds == 1 {
                 stats.preprocessed_n = keep.len();
@@ -213,6 +196,34 @@ impl<'g> Solver<'g> {
             stats,
         }
     }
+}
+
+/// Atomically tightens `ctcp` to `lb`, verifies it, and extracts its
+/// universe; returns what the tightening removed plus the universe. A
+/// resident reducer may already have been tightened past `lb` by a
+/// concurrent solve, in which case its universe no longer contains every
+/// solution larger than *our* bound: `ctcp` is then replaced by a private
+/// reducer tightened to `lb`, for the rest of this solve.
+pub(crate) fn verified_universe(
+    ctcp: &mut Arc<Mutex<Ctcp>>,
+    g: &Graph,
+    k: usize,
+    config: &SolverConfig,
+    lb: usize,
+) -> (Removals, Vec<Vec<u32>>, Vec<VertexId>) {
+    {
+        let mut c = ctcp.lock().expect("poisoned");
+        let rem = c.tighten(lb);
+        if c.lb() <= lb {
+            let (adj, keep) = c.extract_universe();
+            return (rem, adj, keep);
+        }
+    }
+    let mut private = Ctcp::with_rules(g, k, config.enable_rr5, config.enable_rr6);
+    let rem = private.tighten(lb);
+    let (adj, keep) = private.extract_universe();
+    *ctcp = Arc::new(Mutex::new(private));
+    (rem, adj, keep)
 }
 
 /// Whether `seed` is a usable known solution for `(g, k)`: in-range,

@@ -454,17 +454,6 @@ impl Ctcp {
         }
         (adj, keep)
     }
-
-    /// Appends the alive neighbours of `v` (original ids, ascending) to
-    /// `out` without allocating. Used by callers that maintain their own
-    /// relabelling buffers.
-    pub fn alive_neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
-        for &(w, e) in &self.idx.inc[v as usize] {
-            if self.e_alive[e as usize] {
-                out.push(w);
-            }
-        }
-    }
 }
 
 /// Reference implementation: iterates `truss_filter` + `k_core` from scratch
@@ -640,15 +629,11 @@ mod tests {
         let (adj, keep) = c.extract_universe();
         assert_eq!(keep.len(), c.alive_n());
         assert_eq!(adj.iter().map(Vec::len).sum::<usize>() / 2, c.alive_m());
-        // The extracted universe is exactly the induced subgraph on the
-        // surviving vertices *minus* truss-removed edges; cross-check
-        // against alive_neighbors_into.
-        let mut buf = Vec::new();
+        // Every extracted edge is an input edge between survivors.
         for (i, &v) in keep.iter().enumerate() {
-            buf.clear();
-            c.alive_neighbors_into(v, &mut buf);
-            let mapped: Vec<u32> = adj[i].iter().map(|&nw| keep[nw as usize]).collect();
-            assert_eq!(buf, mapped, "row {i}");
+            for &nw in &adj[i] {
+                assert!(g.has_edge(v, keep[nw as usize]), "row {i}");
+            }
         }
     }
 

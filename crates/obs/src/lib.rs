@@ -21,7 +21,7 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use metrics::{registry, Counter, CounterBlock, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use trace::{span, MaybeSpan, PhaseTotal, Span, Tracer};
 
 use std::sync::atomic::{AtomicBool, Ordering};

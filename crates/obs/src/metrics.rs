@@ -84,6 +84,42 @@ impl Counter {
     }
 }
 
+/// A fixed block of `N` counters owned by one object (a session, a store,
+/// a graph cache) and mirrored into `N` process-wide registry series.
+///
+/// [`CounterBlock::bump`] is the one way to count: it adds to the owner's
+/// atomic, which always counts, and to the matching registry handle, which
+/// honours the global kill switch. The handles come in as a `&'static`
+/// array, so callers register them once per process (one `OnceLock`) and a
+/// bump never takes the registry lock or allocates.
+#[derive(Debug)]
+pub struct CounterBlock<const N: usize> {
+    own: [AtomicU64; N],
+    totals: &'static [Counter; N],
+}
+
+impl<const N: usize> CounterBlock<N> {
+    /// A zeroed block mirrored into `totals` (same order).
+    pub fn new(totals: &'static [Counter; N]) -> Self {
+        CounterBlock {
+            own: std::array::from_fn(|_| AtomicU64::new(0)),
+            totals,
+        }
+    }
+
+    /// Adds `n` to counter `i`, on the owner and in its registry series.
+    #[inline]
+    pub fn bump(&self, i: usize, n: u64) {
+        self.own[i].fetch_add(n, Ordering::Relaxed);
+        self.totals[i].add(n);
+    }
+
+    /// The owner's count for counter `i`.
+    pub fn get(&self, i: usize) -> u64 {
+        self.own[i].load(Ordering::Relaxed)
+    }
+}
+
 /// Signed gauge handle (e.g. queue depth).
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicI64>);
@@ -471,6 +507,9 @@ pub fn registry() -> &'static Registry {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that flip or depend on the global kill switch.
+    static ENABLED_GUARD: Mutex<()> = Mutex::new(());
+
     #[test]
     fn bucket_scheme_is_consistent() {
         for i in 0..NUM_BUCKETS {
@@ -517,6 +556,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_no_op() {
+        let _g = ENABLED_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let c = Counter::default();
         let h = Histogram::default();
         crate::set_enabled(false);
@@ -527,6 +567,26 @@ mod tests {
         assert_eq!(h.snapshot().count, 0);
         c.inc();
         assert_eq!(c.get(), 1);
+    }
+
+    #[test]
+    fn counter_block_bumps_owner_and_series_together() {
+        let _g = ENABLED_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+        let reg = Registry::new();
+        let totals: &'static [Counter; 2] = Box::leak(Box::new([
+            reg.register_counter("kdc_test_a_total"),
+            reg.register_counter("kdc_test_b_total"),
+        ]));
+        let one = CounterBlock::new(totals);
+        let two = CounterBlock::new(totals);
+        one.bump(0, 2);
+        two.bump(0, 1);
+        two.bump(1, 5);
+        assert_eq!((one.get(0), one.get(1)), (2, 0), "owners count apart");
+        assert_eq!((two.get(0), two.get(1)), (1, 5));
+        let text = reg.render_prometheus();
+        assert!(text.contains("kdc_test_a_total 3"), "{text}");
+        assert!(text.contains("kdc_test_b_total 5"), "{text}");
     }
 
     #[test]

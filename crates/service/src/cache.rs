@@ -16,7 +16,7 @@ use kdc_graph::Graph;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A cached graph: one resident solver session plus protocol bookkeeping.
@@ -98,9 +98,16 @@ pub struct GraphCache {
     capacity: AtomicUsize,
     /// Monotonic logical clock stamping every lookup/insert for LRU order.
     clock: AtomicU64,
-    evictions: AtomicU64,
-    evictions_total: kdc_obs::Counter,
+    /// One slot: entries evicted, also `kdc_service_cache_evictions_total`.
+    evictions: kdc_obs::CounterBlock<1>,
     faults_injected: kdc_obs::Counter,
+}
+
+/// The process-wide eviction series, registered once.
+fn eviction_totals() -> &'static [kdc_obs::Counter; 1] {
+    static TOTALS: OnceLock<[kdc_obs::Counter; 1]> = OnceLock::new();
+    TOTALS
+        .get_or_init(|| [kdc_obs::registry().register_counter("kdc_service_cache_evictions_total")])
 }
 
 impl Default for GraphCache {
@@ -118,8 +125,7 @@ impl GraphCache {
             parses: AtomicU64::new(0),
             capacity: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            evictions_total: r.register_counter("kdc_service_cache_evictions_total"),
+            evictions: kdc_obs::CounterBlock::new(eviction_totals()),
             faults_injected: r.register_counter("kdc_service_faults_injected_total"),
         }
     }
@@ -133,7 +139,7 @@ impl GraphCache {
 
     /// Entries evicted to enforce the capacity bound since startup.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get(0)
     }
 
     fn touch(&self, entry: &GraphEntry) {
@@ -180,8 +186,7 @@ impl GraphCache {
             match victim {
                 Some(name) => {
                     map.remove(&name);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.evictions_total.inc();
+                    self.evictions.bump(0, 1);
                 }
                 // Only the just-inserted entry remains: a capacity of zero
                 // is "unlimited", so cap >= 1 always keeps it.

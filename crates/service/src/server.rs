@@ -1003,23 +1003,19 @@ fn stats(daemon: &Daemon, graph: Option<&str>) -> Result<String, String> {
             // Force the artifact before sampling counters, so the reported
             // peel_builds already reflects this request's build (if any).
             let degeneracy = entry.session().degeneracy();
-            let counters = entry.session().counters();
-            Ok(OkLine::new()
+            let line = OkLine::new()
                 .field("graph", name)
                 .field("n", entry.graph().n())
                 .field("m", entry.graph().m())
                 .field("degeneracy", degeneracy)
                 .field("parse_ms", entry.parse_time.as_millis())
-                .field("hits", entry.hits())
-                .field("peel_builds", counters.peel_builds)
-                .field("solves", counters.solves)
-                .field("result_hits", counters.result_hits)
-                .field("ctcp_builds", counters.ctcp_builds)
-                .field("ctcp_resumes", counters.ctcp_resumes)
-                .field("ctcp_evictions", counters.ctcp_evictions)
-                .field("memo_evictions", counters.memo_evictions)
-                .field("recovered_witnesses", counters.recovered_witnesses)
-                .field("recovered_memos", counters.recovered_memos)
+                .field("hits", entry.hits());
+            Ok(entry
+                .session()
+                .counters()
+                .fields()
+                .into_iter()
+                .fold(line, |line, (key, value)| line.field(key, value))
                 .render())
         }
         None => Ok(OkLine::new()

@@ -30,8 +30,8 @@
 //! Fault injection: every write passes the `store_write` point and replay
 //! passes `store_read` (see `kdc_faults`); the `torn` action truncates a
 //! journal append mid-record, which is how the chaos soak proves torn-tail
-//! recovery end to end. Counters are mirrored into the global metrics
-//! registry as `kdc_store_*_total`.
+//! recovery end to end. Counters live in one [`kdc_obs::CounterBlock`] that
+//! also feeds the global metrics registry as `kdc_store_*_total`.
 //!
 //! The store's internal mutex (`store`) is rank 8 in `LOCK_ORDER.md`: a
 //! leaf below every daemon lock except the metrics registry, so callers
@@ -45,7 +45,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Appends between automatic compactions (see [`Store::append`]).
@@ -185,8 +184,8 @@ pub fn fold(records: &[Record]) -> Vec<GraphState> {
     graphs.into_values().collect()
 }
 
-/// Snapshot of the store's own counters (also mirrored as
-/// `kdc_store_*_total` in the global metrics registry).
+/// Snapshot of the store's own counters (each also summed process-wide
+/// as `kdc_store_<field>_total` in the global metrics registry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Records appended to the journal.
@@ -201,27 +200,33 @@ pub struct StoreCounters {
     pub corrupt_records_dropped: u64,
 }
 
-/// Global-registry twins of the store counters, registered once.
-struct StoreObs {
-    journal_appends: kdc_obs::Counter,
-    snapshot_writes: kdc_obs::Counter,
-    recoveries: kdc_obs::Counter,
-    torn_records_dropped: kdc_obs::Counter,
-    corrupt_records_dropped: kdc_obs::Counter,
+/// The store counters, named once: slots of the store's
+/// [`kdc_obs::CounterBlock`], in [`StoreCounters`] field order.
+#[derive(Clone, Copy)]
+enum StoreCounter {
+    JournalAppends,
+    SnapshotWrites,
+    Recoveries,
+    TornRecordsDropped,
+    CorruptRecordsDropped,
 }
 
-fn store_obs() -> &'static StoreObs {
-    static OBS: OnceLock<StoreObs> = OnceLock::new();
-    OBS.get_or_init(|| {
+/// Number of [`StoreCounter`]s.
+const STORE_COUNTERS: usize = 5;
+
+/// The process-wide `kdc_store_*_total` series, registered once and
+/// indexed by [`StoreCounter`].
+fn store_totals() -> &'static [kdc_obs::Counter; STORE_COUNTERS] {
+    static TOTALS: OnceLock<[kdc_obs::Counter; STORE_COUNTERS]> = OnceLock::new();
+    TOTALS.get_or_init(|| {
         let reg = kdc_obs::registry();
-        StoreObs {
-            journal_appends: reg.register_counter("kdc_store_journal_appends_total"),
-            snapshot_writes: reg.register_counter("kdc_store_snapshot_writes_total"),
-            recoveries: reg.register_counter("kdc_store_recoveries_total"),
-            torn_records_dropped: reg.register_counter("kdc_store_torn_records_dropped_total"),
-            corrupt_records_dropped: reg
-                .register_counter("kdc_store_corrupt_records_dropped_total"),
-        }
+        [
+            reg.register_counter("kdc_store_journal_appends_total"),
+            reg.register_counter("kdc_store_snapshot_writes_total"),
+            reg.register_counter("kdc_store_recoveries_total"),
+            reg.register_counter("kdc_store_torn_records_dropped_total"),
+            reg.register_counter("kdc_store_corrupt_records_dropped_total"),
+        ]
     })
 }
 
@@ -241,11 +246,7 @@ pub struct Store {
     /// Rank 8 in `LOCK_ORDER.md`: leaf lock; collect state to persist
     /// before calling into the store.
     store: Mutex<StoreInner>,
-    journal_appends: AtomicU64,
-    snapshot_writes: AtomicU64,
-    recoveries: AtomicU64,
-    torn_records_dropped: AtomicU64,
-    corrupt_records_dropped: AtomicU64,
+    counters: kdc_obs::CounterBlock<STORE_COUNTERS>,
 }
 
 impl std::fmt::Debug for Store {
@@ -288,11 +289,7 @@ impl Store {
             store: Mutex::new(StoreInner {
                 appends_since_compact: 0,
             }),
-            journal_appends: AtomicU64::new(0),
-            snapshot_writes: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            torn_records_dropped: AtomicU64::new(0),
-            corrupt_records_dropped: AtomicU64::new(0),
+            counters: kdc_obs::CounterBlock::new(store_totals()),
         };
         let unreadable = fault_gate(kdc_faults::Point::StoreRead).is_some();
         let mut records = Vec::new();
@@ -305,26 +302,13 @@ impl Store {
                 had_state = true;
                 let (recs, report) = codec::replay(&bytes);
                 records.extend(recs);
-                if report.torn_dropped > 0 {
-                    store
-                        .torn_records_dropped
-                        .fetch_add(report.torn_dropped, Ordering::Relaxed);
-                    store_obs().torn_records_dropped.add(report.torn_dropped);
-                }
-                if report.corrupt_dropped > 0 {
-                    store
-                        .corrupt_records_dropped
-                        .fetch_add(report.corrupt_dropped, Ordering::Relaxed);
-                    store_obs()
-                        .corrupt_records_dropped
-                        .add(report.corrupt_dropped);
-                }
+                store.bump(StoreCounter::TornRecordsDropped, report.torn_dropped);
+                store.bump(StoreCounter::CorruptRecordsDropped, report.corrupt_dropped);
             }
         }
         let recovered = fold(&records);
         if had_state {
-            store.recoveries.fetch_add(1, Ordering::Relaxed);
-            store_obs().recoveries.inc();
+            store.bump(StoreCounter::Recoveries, 1);
         }
         // Normalize whatever survived into fresh files; best effort when a
         // write fault is armed (the journal is left untouched on failure).
@@ -380,8 +364,7 @@ impl Store {
             None => {}
         }
         write(&framed)?;
-        self.journal_appends.fetch_add(1, Ordering::Relaxed);
-        store_obs().journal_appends.inc();
+        self.bump(StoreCounter::JournalAppends, 1);
         inner.appends_since_compact += 1;
         Ok(inner.appends_since_compact >= COMPACT_EVERY)
     }
@@ -426,20 +409,25 @@ impl Store {
         replace(&tmp_snap, &snap, &bytes)?;
         replace(&tmp_journal, &journal, &codec::HEADER)?;
         inner.appends_since_compact = 0;
-        self.snapshot_writes.fetch_add(1, Ordering::Relaxed);
-        store_obs().snapshot_writes.inc();
+        self.bump(StoreCounter::SnapshotWrites, 1);
         Ok(())
     }
 
     /// Snapshot of this store's counters.
     pub fn counters(&self) -> StoreCounters {
+        let get = |c: StoreCounter| self.counters.get(c as usize);
         StoreCounters {
-            journal_appends: self.journal_appends.load(Ordering::Relaxed),
-            snapshot_writes: self.snapshot_writes.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            torn_records_dropped: self.torn_records_dropped.load(Ordering::Relaxed),
-            corrupt_records_dropped: self.corrupt_records_dropped.load(Ordering::Relaxed),
+            journal_appends: get(StoreCounter::JournalAppends),
+            snapshot_writes: get(StoreCounter::SnapshotWrites),
+            recoveries: get(StoreCounter::Recoveries),
+            torn_records_dropped: get(StoreCounter::TornRecordsDropped),
+            corrupt_records_dropped: get(StoreCounter::CorruptRecordsDropped),
         }
+    }
+
+    /// Counts `n` on the store and in its `kdc_store_*_total` series.
+    fn bump(&self, counter: StoreCounter, n: u64) {
+        self.counters.bump(counter as usize, n);
     }
 }
 
