@@ -34,8 +34,8 @@ fn assert_warm_path_claims(g: &Graph) {
         warm.tighten(lb);
         let (expected, expected_keep) = scratch_fixpoint(g, K, lb);
         assert_eq!(warm.alive_vertices(), expected_keep, "lb {lb}");
-        let (adj, _) = warm.extract_universe();
-        assert_eq!(Graph::from_adjacency(adj), expected, "lb {lb}");
+        let (universe, _) = warm.extract_universe();
+        assert_eq!(universe, expected, "lb {lb}");
     }
 
     // 2. Warm solver runs: byte-identical output, exactly one universe

@@ -26,23 +26,27 @@
 //!
 //! All ego subproblems live inside **one** CTCP-reduced universe: the
 //! incremental reducer ([`kdc_graph::ctcp`]) is tightened once against the
-//! heuristic lower bound and extracted once (`universe_rebuilds = 1`), and
-//! the degeneracy ordering is restricted to the survivors. Each worker then
-//! owns a `SubproblemArena`: flat CSR buffers, a reusable `Marker`, and
-//! one long-lived engine re-primed per vertex via `Engine::reset` — so
-//! the per-vertex loop performs **no universe allocation in steady state**
-//! (`arena_reuses` counts exactly the instances served this way).
+//! heuristic lower bound and extracted once as a CSR [`Graph`]
+//! (`universe_rebuilds = 1`), and the degeneracy ordering is restricted to
+//! the survivors. Each worker then owns a `SubproblemArena`: flat CSR
+//! buffers, a reusable `Marker`, and one long-lived engine re-primed per
+//! vertex via `Engine::reset`, the same priming path `Solver::solve` uses
+//! across restarts — so the per-vertex loop performs **no universe
+//! allocation in steady state** (`arena_reuses` counts exactly the
+//! instances served this way).
 //!
 //! Instances are independent, so they are solved on parallel threads
 //! (std scoped threads; the incumbent size is shared through an atomic).
+//! Each worker folds its instances' search statistics into one
+//! `SearchStats`, merged into the solution's once at exit.
 
 use crate::config::{InitialHeuristic, SolveEvent, SolverConfig};
 use crate::engine::Engine;
 use crate::heuristic;
-use crate::stats::{bound, BoundCost, SearchStats, Solution, Status};
+use crate::stats::{SearchStats, Solution, Status};
 use kdc_graph::graph::{Graph, VertexId};
 use kdc_graph::scratch::Marker;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -62,7 +66,7 @@ pub struct SubproblemArena {
     /// reduced id → local id of the current instance (valid only for
     /// marked members, so it never needs clearing).
     local_id: Vec<u32>,
-    csr_off: Vec<u32>,
+    csr_off: Vec<usize>,
     csr_dat: Vec<u32>,
     /// Whether the engine has been primed at least once.
     primed: bool,
@@ -124,14 +128,14 @@ impl SubproblemArena {
     }
 
     /// Builds the induced-subgraph CSR of `universe` (sorting it ascending
-    /// first) from the shared reduced adjacency, primes the engine at floor
+    /// first) from the shared reduced graph, primes the engine at floor
     /// `lb` with `v` forced into S, and runs the search. Returns whether the
     /// run completed. This is the steady-state hot path: after warm-up it
     /// must not touch the allocator.
     // kdc-lint: hot-path
     pub fn solve_instance(
         &mut self,
-        red_adj: &[Vec<u32>],
+        red: &Graph,
         v: u32,
         lb: usize,
         deadline: Option<Instant>,
@@ -144,12 +148,12 @@ impl SubproblemArena {
             self.local_id[u as usize] = li as u32;
         }
         for &u in &self.universe {
-            for &w in &red_adj[u as usize] {
+            for &w in red.neighbors(u) {
                 if self.member.is_marked(w as usize) {
                     self.csr_dat.push(self.local_id[w as usize]);
                 }
             }
-            self.csr_off.push(self.csr_dat.len() as u32);
+            self.csr_off.push(self.csr_dat.len());
         }
         if self.primed {
             self.reuses += 1;
@@ -228,11 +232,10 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
     // (possibly resident) reducer tightened to the initial bound, verified
     // and extracted once.
     let mut ctcp = crate::solver::resident_ctcp(g, k, &config, initial.len());
-    let (rem, red_adj, keep) =
+    let (rem, red, keep) =
         crate::solver::verified_universe(&mut ctcp, g, k, &config, initial.len());
     let (removed_v, removed_e) = (rem.vertices.len() as u64, rem.edges);
     let n_red = keep.len();
-    let red_m = red_adj.iter().map(Vec::len).sum::<usize>() / 2;
     if let Some(hook) = &config.on_event {
         if removed_v > 0 || removed_e > 0 {
             hook.emit(SolveEvent::Retighten {
@@ -245,8 +248,7 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
 
     // The input ordering restricted to the survivors (any ordering keeps
     // the containment argument valid; the degeneracy restriction keeps the
-    // successor sets small), plus ranks and forward adjacency, all in
-    // reduced ids.
+    // successor sets small), plus ranks, both in reduced ids.
     let mut red_id: Vec<u32> = vec![u32::MAX; g.n()];
     for (i, &v) in keep.iter().enumerate() {
         red_id[v as usize] = i as u32;
@@ -263,15 +265,8 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
     for (i, &v) in order.iter().enumerate() {
         rank[v as usize] = i as u32;
     }
-    let nplus: Vec<Vec<u32>> = (0..n_red as u32)
-        .map(|u| {
-            red_adj[u as usize]
-                .iter()
-                .copied()
-                .filter(|&w| rank[w as usize] > rank[u as usize])
-                .collect()
-        })
-        .collect();
+    let preprocess_time = t0.elapsed();
+    let t_search = Instant::now();
 
     let best_size = AtomicUsize::new(initial.len());
     let best_sol: Mutex<Vec<VertexId>> = Mutex::new(initial.clone());
@@ -279,12 +274,9 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
     let deadline = config.time_limit.map(|d| t0 + d);
     // 0 = ran to completion, 1 = deadline expired, 2 = cancelled.
     let abort_code = AtomicUsize::new(0);
-    let total_nodes = AtomicU64::new(0);
-    let total_reuses = AtomicU64::new(0);
-    let total_instances = AtomicU64::new(0);
-    // Per-bound telemetry, merged once per worker at exit (never contended
+    // Search statistics, merged once per worker at exit (never contended
     // inside the ego loop).
-    let bound_totals: Mutex<[BoundCost; bound::COUNT]> = Mutex::new(Default::default());
+    let totals: Mutex<SearchStats> = Mutex::new(SearchStats::default());
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -295,7 +287,7 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
                 let mut worker_config = config.clone();
                 worker_config.time_limit = None;
                 let mut arena = SubproblemArena::new(n_red, k, worker_config);
-                let mut local_bounds = [BoundCost::default(); bound::COUNT];
+                let mut local = SearchStats::default();
                 loop {
                     let i = next_task.fetch_add(1, Ordering::Relaxed);
                     if i >= n_red {
@@ -319,17 +311,19 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
                     // successor paths.
                     arena.begin_instance();
                     arena.admit(v);
-                    for &w in &nplus[v as usize] {
-                        arena.admit(w);
+                    let v_rank = rank[v as usize];
+                    for &w in red.neighbors(v) {
+                        if rank[w as usize] > v_rank {
+                            arena.admit(w);
+                        }
                     }
                     let direct = arena.universe.len();
-                    let v_rank = rank[v as usize];
                     for di in 1..direct {
                         let w = arena.universe[di];
                         // All successors *of v* adjacent to w (their rank may
                         // be below w's, so w's full neighbour list is needed,
                         // filtered to the ≻ v region).
-                        for &x in &red_adj[w as usize] {
+                        for &x in red.neighbors(w) {
                             if rank[x as usize] > v_rank {
                                 arena.admit(x);
                             }
@@ -342,14 +336,9 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
                     }
 
                     let ego_span = config.trace.as_ref().map(|t| t.span("ego"));
-                    let finished = arena.solve_instance(&red_adj, v, lb, deadline);
+                    let finished = arena.solve_instance(&red, v, lb, deadline);
                     drop(ego_span);
-                    total_nodes.fetch_add(arena.engine.stats.nodes, Ordering::Relaxed);
-                    for (acc, bc) in local_bounds.iter_mut().zip(&arena.engine.stats.bound_costs) {
-                        acc.invocations += bc.invocations;
-                        acc.prunes += bc.prunes;
-                        acc.ns += bc.ns;
-                    }
+                    local.absorb(&arena.engine.stats);
                     if !finished {
                         let code = if arena.engine.abort_status() == Status::Cancelled {
                             2
@@ -375,14 +364,9 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
                         }
                     }
                 }
-                total_reuses.fetch_add(arena.reuses, Ordering::Relaxed);
-                total_instances.fetch_add(arena.instances, Ordering::Relaxed);
-                let mut totals = bound_totals.lock().expect("poisoned");
-                for (t, l) in totals.iter_mut().zip(&local_bounds) {
-                    t.invocations += l.invocations;
-                    t.prunes += l.prunes;
-                    t.ns += l.ns;
-                }
+                local.arena_reuses = arena.reuses;
+                local.ego_subproblems = arena.instances;
+                totals.lock().expect("poisoned").absorb(&local);
             });
         }
     });
@@ -398,18 +382,15 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
         vertices,
         status,
         stats: SearchStats {
-            nodes: total_nodes.load(Ordering::Relaxed),
             initial_solution_size: initial.len(),
             preprocessed_n: n_red,
-            preprocessed_m: red_m,
+            preprocessed_m: red.m(),
             ctcp_vertex_removals: removed_v,
             ctcp_edge_removals: removed_e,
-            arena_reuses: total_reuses.load(Ordering::Relaxed),
             universe_rebuilds: 1,
-            ego_subproblems: total_instances.load(Ordering::Relaxed),
-            bound_costs: bound_totals.into_inner().expect("poisoned"),
-            search_time: t0.elapsed(),
-            ..Default::default()
+            preprocess_time,
+            search_time: t_search.elapsed(),
+            ..totals.into_inner().expect("poisoned")
         },
     }
 }
@@ -605,6 +586,27 @@ mod tests {
             );
             assert!(a.is_optimal() && b.is_optimal());
         }
+    }
+
+    #[test]
+    fn ego_search_stats_surface_in_decomposed_stats() {
+        // Every ego instance's statistics reach the solution, not only its
+        // node count and per-bound telemetry.
+        let mut rng = gen::seeded_rng(110);
+        let g = gen::gnp(70, 0.5, &mut rng);
+        let sol = solve_decomposed(&g, 3, SolverConfig::kdc(), 2);
+        assert!(sol.is_optimal());
+        let stats = &sol.stats;
+        assert!(stats.ego_subproblems > 0, "decomposition fell back");
+        assert_eq!(
+            stats.bound_prunes,
+            stats.bound_costs.iter().map(|bc| bc.prunes).sum::<u64>(),
+            "stage attribution must cover exactly the bound prunes"
+        );
+        assert!(stats.bound_prunes > 0, "bound prunes dropped");
+        assert!(stats.leaves > 0, "leaves dropped");
+        assert!(stats.max_depth > 0, "depth dropped");
+        assert!(stats.preprocess_time > std::time::Duration::ZERO);
     }
 
     #[test]

@@ -239,8 +239,8 @@ impl Engine {
         // scan over the pre-sorted universe beats re-sorting per node.
         self.scratch_cands.clear();
         if self.n <= 8 * num_cands {
-            for i in 0..self.order_by_rank.len() {
-                let v = self.order_by_rank[i];
+            for i in (0..self.n).rev() {
+                let v = self.root_peel.order()[i];
                 if self.is_cand(v) {
                     self.scratch_cands.push(v);
                 }
@@ -248,7 +248,7 @@ impl Engine {
         } else {
             self.scratch_cands
                 .extend_from_slice(&self.vs[self.s_end..self.cand_end]);
-            let root_rank = &self.root_rank;
+            let root_rank = self.root_peel.rank();
             self.scratch_cands
                 .sort_unstable_by_key(|&v| std::cmp::Reverse(root_rank[v as usize]));
         }
@@ -493,8 +493,7 @@ mod tests {
     use crate::engine::Engine;
 
     fn engine(g: &kdc_graph::Graph, k: usize, cfg: SolverConfig) -> Engine {
-        let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
-        Engine::new(adj, k, cfg, 0)
+        crate::engine::primed(g, k, cfg, 0)
     }
 
     /// Builds the Figure 5 instance: S = two isolated vertices, candidates a

@@ -35,6 +35,7 @@ use crate::stats::SearchStats;
 use kdc_graph::bitset::{
     self, for_each_bit_and, for_each_bit_and_not, popcount_and, BitMatrix, BitSet,
 };
+use kdc_graph::degeneracy::{self, BucketPeel};
 use kdc_graph::scratch::Marker;
 use std::time::Instant;
 
@@ -64,31 +65,22 @@ pub(crate) enum Reduced {
     Open,
 }
 
-/// Reusable scratch for the bucket-queue degeneracy ranking of the root
-/// universe (an allocation-free [`Engine::reset`] needs the ranking without
-/// a per-instance heap).
-#[derive(Default)]
-struct RankScratch {
-    deg: Vec<u32>,
-    vert: Vec<u32>,
-    pos: Vec<u32>,
-    bucket_start: Vec<u32>,
-    next_slot: Vec<u32>,
-}
-
 /// The search engine over a fixed universe graph.
 ///
-/// The universe adjacency is stored as a flat CSR (`adj_off`/`adj_dat`) so a
-/// long-lived engine can be re-primed for a new universe via
-/// [`Engine::reset`] without allocating: every buffer is cleared and
-/// refilled in place, retaining its capacity across instances (the
-/// steady-state contract of the decomposition arena).
+/// An engine is created empty by [`Engine::hollow`] and primed for each
+/// universe by [`Engine::reset`], the one way to load a universe: the
+/// solver's restarts and the decomposition arena's ego instances both
+/// re-prime one long-lived engine. The universe adjacency is stored as a
+/// flat CSR (`adj_off`/`adj_dat`, laid out like [`kdc_graph::Graph::csr`]),
+/// and every buffer is cleared and refilled in place, retaining its capacity
+/// across instances, so re-priming for a universe no larger than an earlier
+/// one allocates nothing.
 pub(crate) struct Engine {
     pub(crate) k: usize,
     n: usize,
     /// Static sorted adjacency over the universe, CSR layout:
     /// `adj_dat[adj_off[v] .. adj_off[v + 1]]` is the sorted row of `v`.
-    adj_off: Vec<u32>,
+    adj_off: Vec<usize>,
     adj_dat: Vec<u32>,
     /// Optional dense adjacency for `n ≤ matrix_limit`.
     matrix: Option<BitMatrix>,
@@ -144,12 +136,10 @@ pub(crate) struct Engine {
     /// plain field load rather than an atomic.
     pub(crate) obs_timing: bool,
 
-    /// Rank of each vertex in a degeneracy ordering of the universe graph
-    /// (colouring order for UB1: descending rank = reverse degeneracy order).
-    root_rank: Vec<u32>,
-    /// Universe vertices pre-sorted by descending `root_rank` (so a filtered
-    /// scan yields candidates already in colouring order).
-    order_by_rank: Vec<u32>,
+    /// Bucket-queue degeneracy peel of the universe graph: its ranks give
+    /// UB1's colouring order (descending rank = reverse degeneracy order),
+    /// and a reverse scan of its order yields candidates already sorted.
+    root_peel: BucketPeel,
     /// Scratch: flat per-colour-class bitsets (`num_classes × words`) for the
     /// matrix colouring path.
     scratch_classes: Vec<u64>,
@@ -168,8 +158,6 @@ pub(crate) struct Engine {
     scratch_serial: u32,
     /// Scratch: (colour, |N̄_S|) pairs for UB1.
     scratch_pairs: Vec<(u32, u32)>,
-    /// Scratch: bucket-queue state for [`Engine::recompute_root_order`].
-    rank_scratch: RankScratch,
 
     /// Called whenever the incumbent improves (new best size passed in);
     /// returning `true` aborts the run with [`Engine::rebuild_requested`]
@@ -188,24 +176,9 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine over a universe given by sorted adjacency lists.
-    pub(crate) fn new(adj: Vec<Vec<u32>>, k: usize, config: SolverConfig, lb_floor: usize) -> Self {
-        let n = adj.len();
-        let mut off = Vec::with_capacity(n + 1);
-        let mut dat = Vec::with_capacity(adj.iter().map(Vec::len).sum());
-        off.push(0u32);
-        for row in &adj {
-            dat.extend_from_slice(row);
-            off.push(dat.len() as u32);
-        }
-        let mut engine = Self::hollow(k, config);
-        engine.reset(&off, &dat, lb_floor);
-        engine
-    }
-
     /// An engine with zero-capacity buffers and no universe. Must be primed
-    /// with [`Engine::reset`] before use; exists so arenas can allocate the
-    /// struct once per worker and grow it on first reset.
+    /// with [`Engine::reset`] before use; callers create it once (per solve,
+    /// per worker) and let the first reset grow it.
     pub(crate) fn hollow(k: usize, config: SolverConfig) -> Self {
         Engine {
             k,
@@ -235,8 +208,7 @@ impl Engine {
             pool: Vec::new(),
             stats: SearchStats::default(),
             obs_timing: kdc_obs::enabled(),
-            root_rank: Vec::new(),
-            order_by_rank: Vec::new(),
+            root_peel: BucketPeel::default(),
             scratch_classes: Vec::new(),
             scratch_pairs_tmp: Vec::new(),
             mark: Marker::new(0),
@@ -246,7 +218,6 @@ impl Engine {
             scratch_used: Vec::new(),
             scratch_serial: 0,
             scratch_pairs: Vec::new(),
-            rank_scratch: RankScratch::default(),
             improve_hook: None,
             rebuild_requested: false,
             depth: 0,
@@ -263,11 +234,12 @@ impl Engine {
     /// every piece of per-run state in place. In steady state (capacities
     /// already grown by earlier universes of at least this size) this
     /// performs no heap allocation — the contract the decomposition arena's
-    /// `arena_reuses` counter asserts.
-    pub(crate) fn reset(&mut self, offsets: &[u32], data: &[u32], lb_floor: usize) {
+    /// `arena_reuses` counter and the `alloc_guard` test assert.
+    // kdc-lint: hot-path
+    pub(crate) fn reset(&mut self, offsets: &[usize], data: &[u32], lb_floor: usize) {
         let n = offsets.len() - 1;
         debug_assert!((0..n).all(|v| {
-            data[offsets[v] as usize..offsets[v + 1] as usize]
+            data[offsets[v]..offsets[v + 1]]
                 .windows(2)
                 .all(|w| w[0] < w[1])
         }));
@@ -286,7 +258,7 @@ impl Engine {
                 None => BitMatrix::new(n, n),
             };
             for u in 0..n {
-                for i in offsets[u] as usize..offsets[u + 1] as usize {
+                for i in offsets[u]..offsets[u + 1] {
                     mx.set(u, data[i] as usize);
                 }
             }
@@ -331,7 +303,8 @@ impl Engine {
         self.s_end = 0;
         self.cand_end = n;
         self.deg.clear();
-        self.deg.extend((0..n).map(|v| offsets[v + 1] - offsets[v]));
+        self.deg
+            .extend((0..n).map(|v| (offsets[v + 1] - offsets[v]) as u32));
         self.non_nbr_s.clear();
         self.non_nbr_s.resize(n, 0);
         self.missing_in_s = 0;
@@ -341,7 +314,7 @@ impl Engine {
         self.lb_floor = lb_floor;
         self.pool.clear();
         self.stats = SearchStats::default();
-        self.recompute_root_order();
+        degeneracy::peel_bucket(&self.adj_off, &self.adj_dat, &mut self.root_peel);
         self.mark.ensure_capacity(n);
         self.scratch_cands.clear();
         self.scratch_color.clear();
@@ -362,78 +335,14 @@ impl Engine {
     /// The sorted universe row of `v`.
     #[inline]
     fn nbrs(&self, v: u32) -> &[u32] {
-        &self.adj_dat[self.adj_off[v as usize] as usize..self.adj_off[v as usize + 1] as usize]
+        &self.adj_dat[self.adj_off[v as usize]..self.adj_off[v as usize + 1]]
     }
 
     /// `(start, end)` indices of `v`'s row in `adj_dat` (for loops that must
     /// mutate other fields while walking the row).
     #[inline]
     fn row_range(&self, v: u32) -> (usize, usize) {
-        (
-            self.adj_off[v as usize] as usize,
-            self.adj_off[v as usize + 1] as usize,
-        )
-    }
-
-    /// Recomputes `root_rank` and `order_by_rank` for the current universe
-    /// with the reusable bucket-queue peel (no per-call heap allocation in
-    /// steady state). Ties among equal-degree vertices follow bucket order,
-    /// which is deterministic for a given universe.
-    fn recompute_root_order(&mut self) {
-        let n = self.n;
-        let rs = &mut self.rank_scratch;
-        rs.deg.clear();
-        rs.deg
-            .extend((0..n).map(|v| self.adj_off[v + 1] - self.adj_off[v]));
-        let max_deg = rs.deg.iter().copied().max().unwrap_or(0) as usize;
-        rs.bucket_start.clear();
-        rs.bucket_start.resize(max_deg + 2, 0);
-        for &d in &rs.deg {
-            rs.bucket_start[d as usize + 1] += 1;
-        }
-        for i in 1..rs.bucket_start.len() {
-            rs.bucket_start[i] += rs.bucket_start[i - 1];
-        }
-        rs.next_slot.clear();
-        rs.next_slot.extend_from_slice(&rs.bucket_start);
-        rs.vert.clear();
-        rs.vert.resize(n, 0);
-        rs.pos.clear();
-        rs.pos.resize(n, 0);
-        for v in 0..n {
-            let d = rs.deg[v] as usize;
-            rs.vert[rs.next_slot[d] as usize] = v as u32;
-            rs.pos[v] = rs.next_slot[d];
-            rs.next_slot[d] += 1;
-        }
-        self.root_rank.clear();
-        self.root_rank.resize(n, 0);
-        for i in 0..n {
-            let v = rs.vert[i];
-            self.root_rank[v as usize] = i as u32;
-            let start = self.adj_off[v as usize] as usize;
-            let end = self.adj_off[v as usize + 1] as usize;
-            for idx in start..end {
-                let w = self.adj_dat[idx] as usize;
-                if (rs.pos[w] as usize) <= i {
-                    continue; // already peeled
-                }
-                let dw = rs.deg[w] as usize;
-                let pw = rs.pos[w] as usize;
-                let front = (rs.bucket_start[dw] as usize).max(i + 1);
-                let u = rs.vert[front];
-                if u as usize != w {
-                    rs.vert.swap(front, pw);
-                    rs.pos[w] = front as u32;
-                    rs.pos[u as usize] = pw as u32;
-                }
-                rs.bucket_start[dw] = front as u32 + 1;
-                rs.deg[w] -= 1;
-            }
-        }
-        // Descending rank = reverse peel order (colouring order for UB1).
-        self.order_by_rank.clear();
-        self.order_by_rank.extend(rs.vert.iter().rev().copied());
+        (self.adj_off[v as usize], self.adj_off[v as usize + 1])
     }
 
     /// Replaces the deadline (e.g. to make the limit cover heuristic +
@@ -559,10 +468,9 @@ impl Engine {
         let start = v as usize * self.nbr_mask_words;
         let end = start + self.nbr_mask_words;
         if self.nbr_mask_epoch[v as usize] != self.nbr_mask_serial {
+            let (from, to) = self.row_range(v);
             let row = &mut self.nbr_mask_data[start..end];
             row.fill(0);
-            let from = self.adj_off[v as usize] as usize;
-            let to = self.adj_off[v as usize + 1] as usize;
             for &w in &self.adj_dat[from..to] {
                 row[w as usize / 64] |= 1u64 << (w as usize % 64);
             }
@@ -1054,14 +962,31 @@ impl Engine {
     }
 }
 
+/// Test shorthand: a fresh engine primed with `g` as its universe.
+#[cfg(test)]
+pub(crate) fn primed(
+    g: &kdc_graph::Graph,
+    k: usize,
+    config: SolverConfig,
+    lb_floor: usize,
+) -> Engine {
+    let mut engine = Engine::hollow(k, config);
+    let (offsets, data) = g.csr();
+    engine.reset(offsets, data, lb_floor);
+    engine
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn engine_from_edges(n: usize, edges: &[(u32, u32)], k: usize) -> Engine {
-        let g = kdc_graph::Graph::from_edges(n, edges);
-        let adj: Vec<Vec<u32>> = (0..n as u32).map(|v| g.neighbors(v).to_vec()).collect();
-        Engine::new(adj, k, SolverConfig::kdc_t(), 0)
+        primed(
+            &kdc_graph::Graph::from_edges(n, edges),
+            k,
+            SolverConfig::kdc_t(),
+            0,
+        )
     }
 
     #[test]
@@ -1115,8 +1040,7 @@ mod tests {
         // crossing the two groups misses ≥ 6 edges, and {v1..v7} misses 5);
         // k = 5: {v1..v7}.
         for (k, expected) in [(0usize, 5usize), (1, 5), (2, 6), (3, 6), (4, 6), (5, 7)] {
-            let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
-            let mut e = Engine::new(adj, k, SolverConfig::kdc_t(), 0);
+            let mut e = primed(&g, k, SolverConfig::kdc_t(), 0);
             assert!(e.run());
             assert_eq!(e.best().len(), expected, "k = {k}");
             assert!(g.is_k_defective_clique(e.best(), k));
@@ -1134,16 +1058,36 @@ mod tests {
     #[test]
     fn matrix_and_list_paths_agree() {
         let g = kdc_graph::gen::gnp(30, 0.35, &mut kdc_graph::gen::seeded_rng(17));
-        let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
         for k in [0usize, 1, 3] {
             let mut cfg_list = SolverConfig::kdc_t();
             cfg_list.matrix_limit = 0; // force adjacency-list path
-            let mut e1 = Engine::new(adj.clone(), k, cfg_list, 0);
-            let mut e2 = Engine::new(adj.clone(), k, SolverConfig::kdc_t(), 0);
+            let mut e1 = primed(&g, k, cfg_list, 0);
+            let mut e2 = primed(&g, k, SolverConfig::kdc_t(), 0);
             assert!(e1.run() && e2.run());
             assert_eq!(e1.best().len(), e2.best().len(), "k = {k}");
             // Identical configurations must also explore identical trees.
             assert_eq!(e1.stats.nodes, e2.stats.nodes);
+        }
+    }
+
+    #[test]
+    fn reprimed_engine_matches_a_fresh_one() {
+        // The solver's restarts and the decomposition arena re-prime one
+        // engine; growing, shrinking and crossing the matrix limit must
+        // leave no trace of earlier universes in the answer or the tree.
+        let mut rng = kdc_graph::gen::seeded_rng(2718);
+        let mut cfg = SolverConfig::kdc();
+        cfg.matrix_limit = 32;
+        let mut reused = Engine::hollow(2, cfg.clone());
+        for n in [40usize, 12, 30, 48, 20] {
+            let g = kdc_graph::gen::gnp(n, 0.4, &mut rng);
+            let (offsets, data) = g.csr();
+            reused.reset(offsets, data, 3);
+            let mut fresh = primed(&g, 2, cfg.clone(), 3);
+            assert_eq!(reused.run(), fresh.run(), "n = {n}");
+            assert_eq!(reused.best(), fresh.best(), "n = {n}");
+            assert_eq!(reused.stats.nodes, fresh.stats.nodes, "n = {n}");
+            assert_eq!(reused.stats.leaves, fresh.stats.leaves, "n = {n}");
         }
     }
 }

@@ -295,12 +295,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use crate::config::SolverConfig;
-    use crate::engine::{Engine, Reduced};
-
-    fn engine(g: &kdc_graph::Graph, k: usize, cfg: SolverConfig, lb: usize) -> Engine {
-        let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
-        Engine::new(adj, k, cfg, lb)
-    }
+    use crate::engine::{primed as engine, Reduced};
 
     #[test]
     fn example_3_2_rr2_greedily_fills_s() {

@@ -15,17 +15,16 @@ use kdc_graph::{gen, Graph};
 /// path) instead of re-deriving them.
 #[test]
 fn list_path_word_and_scalar_kernels_maintain_identical_state() {
-    use crate::engine::Engine;
+    use crate::engine::{primed, Engine};
     let mut rng = gen::seeded_rng(424);
     for trial in 0..6 {
         let g = gen::gnp(40, 0.35, &mut rng);
-        let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
         let mut word_cfg = SolverConfig::kdc_t();
         word_cfg.matrix_limit = 0; // force the list path on both
         let scalar_cfg = word_cfg.clone().with_scalar_kernel();
         let k = 3usize;
-        let mut ew = Engine::new(adj.clone(), k, word_cfg, 0);
-        let mut es = Engine::new(adj.clone(), k, scalar_cfg, 0);
+        let mut ew = primed(&g, k, word_cfg, 0);
+        let mut es = primed(&g, k, scalar_cfg, 0);
         assert!(ew.word_kernel_active(), "list path must use cached masks");
         assert!(!es.word_kernel_active());
 
@@ -41,7 +40,7 @@ fn list_path_word_and_scalar_kernels_maintain_identical_state() {
             // From-scratch recount of alive degrees on the word engine.
             let alive: Vec<u32> = ew.vs[..ew.cand_end].to_vec();
             for &v in &alive {
-                let expect = adj[v as usize].iter().filter(|w| alive.contains(w)).count();
+                let expect = g.neighbors(v).iter().filter(|w| alive.contains(w)).count();
                 assert_eq!(
                     ew.deg[v as usize] as usize, expect,
                     "trial {trial} step {step}: incremental deg[{v}] diverged from recount"

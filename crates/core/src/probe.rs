@@ -51,12 +51,7 @@ pub fn root_bounds(g: &Graph, s: &[VertexId], k: usize) -> RootBounds {
         g.is_k_defective_clique(s, k),
         "S must induce a k-defective clique"
     );
-    let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
-    let mut engine = Engine::new(adj, k, SolverConfig::kdc(), 0);
-    for &v in s {
-        engine.force_into_s(v);
-    }
-    let (ub1, eq2, ub2, ub3) = engine.all_bounds();
+    let (ub1, eq2, ub2, ub3) = engine_with_s(g, s, k).all_bounds();
     RootBounds {
         ub1,
         eq2,
@@ -69,11 +64,7 @@ pub fn root_bounds(g: &Graph, s: &[VertexId], k: usize) -> RootBounds {
 /// engine state and returns the elapsed wall time. Used by the criterion
 /// benches to measure per-node bound cost in isolation.
 pub fn bench_bounds(g: &Graph, s: &[VertexId], k: usize, iters: u32) -> std::time::Duration {
-    let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
-    let mut engine = Engine::new(adj, k, SolverConfig::kdc(), 0);
-    for &v in s {
-        engine.force_into_s(v);
-    }
+    let mut engine = engine_with_s(g, s, k);
     let t0 = std::time::Instant::now();
     let mut sink = 0usize;
     for _ in 0..iters {
@@ -82,6 +73,17 @@ pub fn bench_bounds(g: &Graph, s: &[VertexId], k: usize, iters: u32) -> std::tim
     }
     std::hint::black_box(sink);
     t0.elapsed()
+}
+
+/// A kDC engine primed with `g` as its universe and `s` forced into S.
+fn engine_with_s(g: &Graph, s: &[VertexId], k: usize) -> Engine {
+    let mut engine = Engine::hollow(k, SolverConfig::kdc());
+    let (offsets, data) = g.csr();
+    engine.reset(offsets, data, 0);
+    for &v in s {
+        engine.force_into_s(v);
+    }
+    engine
 }
 
 #[cfg(test)]

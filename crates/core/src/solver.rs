@@ -8,6 +8,10 @@
 //!    the incumbent improves mid-search, re-tighten the reducer; if that
 //!    removes anything, restart on the (strictly smaller) universe.
 //!
+//! Each universe is extracted from the reducer as a CSR [`Graph`], and one
+//! engine per solve is re-primed from it via `Engine::reset` on every
+//! restart, the same priming path the decomposition arena uses.
+//!
 //! Long-running services install a resident reducer + best-known witness
 //! via [`SolverConfig::shared_ctcp`] / [`SolverConfig::seed_solution`], so
 //! warm solves resume tightening where the previous solve stopped.
@@ -102,8 +106,10 @@ impl<'g> Solver<'g> {
         // incumbent improves, the engine re-tightens the reducer through the
         // improvement hook; if that shrinks the universe, the run aborts and
         // restarts on the smaller instance (each restart is paid for by at
-        // least one removal, so there are at most n + m of them).
+        // least one removal, so there are at most n + m of them). Every
+        // restart re-primes the same engine.
         let t_search = Instant::now();
+        let mut engine = Engine::hollow(k, config.clone());
         let status;
         loop {
             // A caller-proven upper bound met by the incumbent ends the
@@ -114,7 +120,7 @@ impl<'g> Solver<'g> {
                 status = Status::Optimal;
                 break;
             }
-            let (rem, adj, keep) = verified_universe(&mut ctcp, graph, k, &config, best.len());
+            let (rem, universe, keep) = verified_universe(&mut ctcp, graph, k, &config, best.len());
             removed
                 .0
                 .fetch_add(rem.vertices.len() as u64, Ordering::Relaxed);
@@ -122,15 +128,18 @@ impl<'g> Solver<'g> {
             stats.universe_rebuilds += 1;
             if stats.universe_rebuilds == 1 {
                 stats.preprocessed_n = keep.len();
-                stats.preprocessed_m = adj.iter().map(Vec::len).sum::<usize>() / 2;
+                stats.preprocessed_m = universe.m();
             }
             if let Some(hook) = &config.on_event {
                 hook.emit(SolveEvent::Restart {
                     universe: keep.len(),
                 });
             }
-            let mut engine = Engine::new(adj, k, config.clone(), best.len());
+            let (offsets, data) = universe.csr();
+            engine.reset(offsets, data, best.len());
             engine.override_deadline(deadline);
+            // Installed after every `verified_universe`: its fallback may have
+            // swapped `ctcp` for a private reducer, which the hook must tighten.
             let hook_ctcp = Arc::clone(&ctcp);
             let hook_removed = Arc::clone(&removed);
             let hook_events = config.on_event.clone();
@@ -199,31 +208,31 @@ impl<'g> Solver<'g> {
 }
 
 /// Atomically tightens `ctcp` to `lb`, verifies it, and extracts its
-/// universe; returns what the tightening removed plus the universe. A
-/// resident reducer may already have been tightened past `lb` by a
-/// concurrent solve, in which case its universe no longer contains every
-/// solution larger than *our* bound: `ctcp` is then replaced by a private
-/// reducer tightened to `lb`, for the rest of this solve.
+/// universe; returns what the tightening removed plus the universe graph and
+/// its new → old id map. A resident reducer may already have been tightened
+/// past `lb` by a concurrent solve, in which case its universe no longer
+/// contains every solution larger than *our* bound: `ctcp` is then replaced
+/// by a private reducer tightened to `lb`, for the rest of this solve.
 pub(crate) fn verified_universe(
     ctcp: &mut Arc<Mutex<Ctcp>>,
     g: &Graph,
     k: usize,
     config: &SolverConfig,
     lb: usize,
-) -> (Removals, Vec<Vec<u32>>, Vec<VertexId>) {
+) -> (Removals, Graph, Vec<VertexId>) {
     {
         let mut c = ctcp.lock().expect("poisoned");
         let rem = c.tighten(lb);
         if c.lb() <= lb {
-            let (adj, keep) = c.extract_universe();
-            return (rem, adj, keep);
+            let (universe, keep) = c.extract_universe();
+            return (rem, universe, keep);
         }
     }
     let mut private = Ctcp::with_rules(g, k, config.enable_rr5, config.enable_rr6);
     let rem = private.tighten(lb);
-    let (adj, keep) = private.extract_universe();
+    let (universe, keep) = private.extract_universe();
     *ctcp = Arc::new(Mutex::new(private));
-    (rem, adj, keep)
+    (rem, universe, keep)
 }
 
 /// Whether `seed` is a usable known solution for `(g, k)`: in-range,
@@ -625,6 +634,7 @@ mod tests {
         // incumbent many times mid-search, exercising the re-tighten +
         // rebuild loop; the answer must match the fully warm-started solver.
         let mut rng = gen::seeded_rng(93);
+        let mut most_rebuilds = 0;
         for trial in 0..4 {
             let g = gen::gnp(45, 0.35, &mut rng);
             for k in [0usize, 2] {
@@ -635,8 +645,11 @@ mod tests {
                 assert_eq!(cold.size(), reference.size(), "trial {trial} k {k}");
                 assert!(cold.is_optimal());
                 assert!(g.is_k_defective_clique(&cold.vertices, k));
+                most_rebuilds = most_rebuilds.max(cold.stats.universe_rebuilds);
             }
         }
+        // At least one solve restarted, re-priming its engine.
+        assert!(most_rebuilds >= 2, "no restart exercised: {most_rebuilds}");
     }
 
     #[test]

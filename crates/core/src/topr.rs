@@ -54,10 +54,11 @@ pub fn top_r_maximal_with_status(
     config: SolverConfig,
 ) -> TopRResult {
     assert!(r > 0, "r must be positive");
-    let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
     // Enumeration must not discard solutions via a precomputed lower bound,
     // so no heuristic floor and no lb-driven preprocessing are used.
-    let mut engine = Engine::new(adj, k, config, 0);
+    let mut engine = Engine::hollow(k, config);
+    let (offsets, data) = g.csr();
+    engine.reset(offsets, data, 0);
     engine.enable_pool(r);
     let completed = engine.run();
     let status = if completed {

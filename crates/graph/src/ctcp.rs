@@ -434,25 +434,29 @@ impl Ctcp {
         }
     }
 
-    /// Extracts the surviving universe as relabelled sorted adjacency lists
-    /// plus the new → old id map. Allocates; callers count this against
-    /// `universe_rebuilds`.
-    pub fn extract_universe(&self) -> (Vec<Vec<u32>>, Vec<VertexId>) {
+    /// Extracts the surviving universe as a relabelled graph plus the new →
+    /// old id map, built directly in CSR form. Allocates; callers count this
+    /// against `universe_rebuilds`.
+    pub fn extract_universe(&self) -> (Graph, Vec<VertexId>) {
         let keep = self.alive_vertices();
         let mut new_id: Vec<u32> = vec![u32::MAX; self.v_alive.len()];
         for (i, &v) in keep.iter().enumerate() {
             new_id[v as usize] = i as u32;
         }
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); keep.len()];
-        for (i, &v) in keep.iter().enumerate() {
+        let mut offsets = Vec::with_capacity(keep.len() + 1);
+        let mut neighbors = Vec::with_capacity(2 * self.alive_m);
+        offsets.push(0);
+        for &v in &keep {
+            // `inc[v]` is sorted by neighbour and `new_id` is monotone, so
+            // each row comes out sorted.
             for &(w, e) in &self.idx.inc[v as usize] {
                 if self.e_alive[e as usize] {
-                    adj[i].push(new_id[w as usize]);
+                    neighbors.push(new_id[w as usize]);
                 }
             }
-            debug_assert!(adj[i].windows(2).all(|p| p[0] < p[1]));
+            offsets.push(neighbors.len());
         }
-        (adj, keep)
+        (Graph::from_csr(offsets, neighbors), keep)
     }
 }
 
@@ -547,10 +551,9 @@ mod tests {
                         expected_keep,
                         "trial {trial} k {k} lb {lb}"
                     );
-                    let (adj, _) = c.extract_universe();
+                    let (universe, _) = c.extract_universe();
                     assert_eq!(
-                        Graph::from_adjacency(adj),
-                        expected,
+                        universe, expected,
                         "edges differ: trial {trial} k {k} lb {lb}"
                     );
                 }
@@ -604,10 +607,9 @@ mod tests {
                     expected_keep,
                     "core={core} truss={truss}"
                 );
-                let (adj, _) = c.extract_universe();
+                let (universe, _) = c.extract_universe();
                 assert_eq!(
-                    Graph::from_adjacency(adj),
-                    expected,
+                    universe, expected,
                     "edges differ: core={core} truss={truss} lb={lb}"
                 );
             }
@@ -626,12 +628,13 @@ mod tests {
         assert_eq!(v_removed as usize + c.alive_n(), g.n());
         assert_eq!(e_removed as usize + c.alive_m(), g.m());
 
-        let (adj, keep) = c.extract_universe();
+        let (universe, keep) = c.extract_universe();
         assert_eq!(keep.len(), c.alive_n());
-        assert_eq!(adj.iter().map(Vec::len).sum::<usize>() / 2, c.alive_m());
+        assert_eq!(universe.n(), c.alive_n());
+        assert_eq!(universe.m(), c.alive_m());
         // Every extracted edge is an input edge between survivors.
         for (i, &v) in keep.iter().enumerate() {
-            for &nw in &adj[i] {
+            for &nw in universe.neighbors(i as VertexId) {
                 assert!(g.has_edge(v, keep[nw as usize]), "row {i}");
             }
         }
@@ -667,9 +670,12 @@ mod tests {
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "trial {trial} k {k}");
-                let (adj_a, _) = batched.extract_universe();
-                let (adj_b, _) = sequential.extract_universe();
-                assert_eq!(adj_a, adj_b, "universes differ: trial {trial} k {k}");
+                let (universe_a, _) = batched.extract_universe();
+                let (universe_b, _) = sequential.extract_universe();
+                assert_eq!(
+                    universe_a, universe_b,
+                    "universes differ: trial {trial} k {k}"
+                );
             }
         }
     }
@@ -730,7 +736,7 @@ mod tests {
         assert_eq!(rem.vertices.len(), 4);
         assert_eq!(c.alive_n(), 0);
         assert_eq!(c.alive_m(), 0);
-        let (adj, keep) = c.extract_universe();
-        assert!(adj.is_empty() && keep.is_empty());
+        let (universe, keep) = c.extract_universe();
+        assert!(universe.n() == 0 && keep.is_empty());
     }
 }

@@ -1,9 +1,14 @@
 //! Degeneracy orderings, core numbers and k-cores (Definitions 2.3–2.4).
 //!
-//! The peeling algorithm repeatedly removes a minimum-degree vertex; the
-//! bucket-queue implementation runs in O(n + m). Ties are broken by smallest
-//! vertex id, which makes orderings deterministic and lets tests pin down the
-//! exact orderings used in the paper's examples.
+//! Peeling repeatedly removes a minimum-degree vertex. There are two peels:
+//!
+//! * [`peel`], a lazy-heap peel in O((n + m) log n) that breaks every degree
+//!   tie by smallest vertex id, so orderings are deterministic and tests can
+//!   pin down the exact orderings of the paper's examples;
+//! * [`peel_bucket`], the O(n + m) bucket-queue peel over a CSR with
+//!   caller-owned scratch, allocation-free in steady state. The search
+//!   engine ranks every universe with it and `kdc stats` reports its
+//!   degeneracy; its ties follow bucket swaps, not ids.
 
 use crate::graph::{Graph, VertexId};
 
@@ -26,7 +31,7 @@ pub struct Peeling {
 /// paper's examples). Runs in O((n + m) log n) via a lazy binary heap.
 ///
 /// For large graphs where tie order is irrelevant, [`peel_bucket`] offers the
-/// classic O(n + m) variant.
+/// O(n + m) variant.
 pub fn peel(g: &Graph) -> Peeling {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -68,78 +73,122 @@ pub fn peel(g: &Graph) -> Peeling {
     }
 }
 
-/// Computes a degeneracy ordering plus core numbers by bucket-queue peeling
-/// in O(n + m). Tie order among equal-degree vertices is unspecified (bucket
-/// swaps permute them); use [`peel`] when deterministic smallest-id ties
-/// matter.
-pub fn peel_bucket(g: &Graph) -> Peeling {
-    let n = g.n();
-    let mut deg: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
-    let max_deg = deg.iter().copied().max().unwrap_or(0);
+/// Caller-owned buffers for [`peel_bucket`]. After a peel, [`order`] and
+/// [`rank`] describe it; peeling again a graph no larger than any earlier one
+/// reuses the buffers without allocating.
+///
+/// [`order`]: BucketPeel::order
+/// [`rank`]: BucketPeel::rank
+#[derive(Clone, Debug, Default)]
+pub struct BucketPeel {
+    /// Live degree while peeling; afterwards each vertex's peel degree.
+    deg: Vec<u32>,
+    /// Bucket-sorted vertices; afterwards the peel order.
+    vert: Vec<VertexId>,
+    /// Position of each vertex in `vert`; afterwards its rank.
+    pos: Vec<u32>,
+    /// First slot of each degree bucket.
+    bucket_start: Vec<u32>,
+}
 
-    // Bucket sort vertices by degree; `pos`/`vert`/`bucket_start` implement
-    // the classic O(n + m) core-decomposition layout of Batagelj–Zaveršnik.
-    let mut bucket_start = vec![0usize; max_deg + 2];
-    for &d in &deg {
-        bucket_start[d + 1] += 1;
+impl BucketPeel {
+    /// Vertices in peel order (`order()[0]` peeled first).
+    pub fn order(&self) -> &[VertexId] {
+        &self.vert
+    }
+
+    /// `rank()[v]` = position of `v` in [`BucketPeel::order`].
+    pub fn rank(&self) -> &[u32] {
+        &self.pos
+    }
+
+    /// Core numbers of the last peel (allocates; off the hot path).
+    pub fn core_numbers(&self) -> Vec<usize> {
+        let mut core = vec![0usize; self.vert.len()];
+        let mut running = 0usize;
+        for &v in &self.vert {
+            running = running.max(self.deg[v as usize] as usize);
+            core[v as usize] = running;
+        }
+        core
+    }
+}
+
+/// Bucket-queue peeling of a CSR graph (`data[offsets[v]..offsets[v + 1]]`
+/// is the row of `v`, as [`Graph::csr`] returns it) in O(n + m), the layout
+/// of Batagelj–Zaveršnik. Returns the degeneracy; the order and ranks are
+/// left in `scratch`. Allocation-free once `scratch` has grown to the graph.
+///
+/// Buckets are filled in ascending id, so the first vertex peeled is the
+/// smallest id of minimum degree, but later ties follow bucket swaps rather
+/// than ids; use [`peel`] when smallest-id ties matter.
+// kdc-lint: hot-path
+pub fn peel_bucket(offsets: &[usize], data: &[VertexId], scratch: &mut BucketPeel) -> usize {
+    let n = offsets.len() - 1;
+    let BucketPeel {
+        deg,
+        vert,
+        pos,
+        bucket_start,
+    } = scratch;
+    deg.clear();
+    deg.extend((0..n).map(|v| (offsets[v + 1] - offsets[v]) as u32));
+    let max_deg = deg.iter().copied().max().unwrap_or(0) as usize;
+    bucket_start.clear();
+    bucket_start.resize(max_deg + 2, 0);
+    for &d in deg.iter() {
+        bucket_start[d as usize + 1] += 1;
     }
     for i in 1..bucket_start.len() {
         bucket_start[i] += bucket_start[i - 1];
     }
-    let mut next_slot = bucket_start.clone();
-    let mut vert = vec![0 as VertexId; n];
-    let mut pos = vec![0usize; n];
-    // Fill buckets in ascending vertex id so equal-degree vertices appear in
-    // id order and the min-degree choice is the smallest id.
-    for v in 0..n as VertexId {
-        let d = deg[v as usize];
-        vert[next_slot[d]] = v;
-        pos[v as usize] = next_slot[d];
-        next_slot[d] += 1;
+    // Place each vertex at its bucket's next free slot, advancing the slot;
+    // afterwards `bucket_start[d]` holds the start of bucket `d + 1`, so one
+    // shift restores the starts.
+    vert.clear();
+    vert.resize(n, 0);
+    pos.clear();
+    pos.resize(n, 0);
+    for v in 0..n {
+        let d = deg[v] as usize;
+        vert[bucket_start[d] as usize] = v as VertexId;
+        pos[v] = bucket_start[d];
+        bucket_start[d] += 1;
     }
+    for d in (1..bucket_start.len()).rev() {
+        bucket_start[d] = bucket_start[d - 1];
+    }
+    bucket_start[0] = 0;
 
-    let mut core = vec![0usize; n];
-    let mut order = Vec::with_capacity(n);
-    let mut rank = vec![0usize; n];
     let mut degeneracy = 0usize;
-
     for i in 0..n {
-        let v = vert[i];
+        let v = vert[i] as usize;
         // Peel degrees along a smallest-last ordering satisfy
-        // core(v_i) = max_{j ≤ i} peel_deg(v_j), so the running maximum
-        // yields both per-vertex core numbers and the degeneracy.
-        degeneracy = degeneracy.max(deg[v as usize]);
-        core[v as usize] = degeneracy;
-        rank[v as usize] = i;
-        order.push(v);
-        for &w in g.neighbors(v) {
-            if pos[w as usize] <= i {
+        // core(v_i) = max_{j ≤ i} peel_deg(v_j).
+        degeneracy = degeneracy.max(deg[v] as usize);
+        for &w in &data[offsets[v]..offsets[v + 1]] {
+            let w = w as usize;
+            if pos[w] as usize <= i {
                 continue; // already peeled
             }
             // `w` loses one live neighbour: move it one bucket down by
             // swapping it to the front of its current bucket. The recorded
             // bucket front may point into the consumed prefix (positions
             // ≤ i); the first *live* slot of the bucket is then `i + 1`.
-            let dw = deg[w as usize];
-            let pw = pos[w as usize];
-            let front = bucket_start[dw].max(i + 1);
-            let u = vert[front];
+            let dw = deg[w] as usize;
+            let pw = pos[w] as usize;
+            let front = (bucket_start[dw] as usize).max(i + 1);
+            let u = vert[front] as usize;
             if u != w {
                 vert.swap(front, pw);
-                pos[w as usize] = front;
-                pos[u as usize] = pw;
+                pos[w] = front as u32;
+                pos[u] = pw as u32;
             }
-            bucket_start[dw] = front + 1;
-            deg[w as usize] = dw - 1;
+            bucket_start[dw] = front as u32 + 1;
+            deg[w] -= 1;
         }
     }
-
-    Peeling {
-        order,
-        rank,
-        core,
-        degeneracy,
-    }
+    degeneracy
 }
 
 /// Returns the vertices of the `k`-core of `g` (possibly empty), i.e. the
@@ -300,18 +349,24 @@ mod tests {
         // core numbers and degeneracy (the orderings themselves may differ in
         // tie order).
         let mut rng = SmallRng::seed_from_u64(77);
-        for n in [15, 30, 60] {
+        // One scratch across graphs of varying size, as the engine reuses it.
+        let mut b = BucketPeel::default();
+        for n in [60, 15, 30] {
             for p_edge in [0.05, 0.2, 0.5] {
                 let g = gen::gnp(n, p_edge, &mut rng);
                 let a = peel(&g);
-                let b = peel_bucket(&g);
+                let (off, dat) = g.csr();
+                let degeneracy = peel_bucket(off, dat, &mut b);
                 assert!(is_degeneracy_ordering(&g, &a.order));
-                assert!(is_degeneracy_ordering(&g, &b.order));
-                assert_eq!(a.degeneracy, b.degeneracy);
-                assert_eq!(a.core, b.core, "n={n} p={p_edge}");
+                assert!(is_degeneracy_ordering(&g, b.order()));
+                assert_eq!(a.degeneracy, degeneracy);
+                assert_eq!(a.core, b.core_numbers(), "n={n} p={p_edge}");
                 // rank is the inverse of order in both.
                 for (i, &v) in a.order.iter().enumerate() {
                     assert_eq!(a.rank[v as usize], i);
+                }
+                for (i, &v) in b.order().iter().enumerate() {
+                    assert_eq!(b.rank()[v as usize] as usize, i);
                 }
             }
         }

@@ -89,6 +89,29 @@ impl Graph {
         }
     }
 
+    /// Wraps an already-built CSR: `neighbors[offsets[v]..offsets[v + 1]]`
+    /// must be the sorted, loop-free row of `v`, and rows must be symmetric.
+    /// Reducers that extract a relabelled universe build it this way instead
+    /// of going through per-vertex lists.
+    pub(crate) fn from_csr(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
+        debug_assert_eq!(offsets.last().copied(), Some(neighbors.len()));
+        debug_assert_eq!(neighbors.len() % 2, 0, "directed half-edges must pair up");
+        let m = neighbors.len() / 2;
+        Graph {
+            offsets,
+            neighbors,
+            m,
+        }
+    }
+
+    /// The raw CSR: `(offsets, neighbors)` with the sorted row of `v` at
+    /// `neighbors[offsets[v]..offsets[v + 1]]`. Lets the search engine copy
+    /// a universe in one pass.
+    #[inline]
+    pub fn csr(&self) -> (&[usize], &[VertexId]) {
+        (&self.offsets, &self.neighbors)
+    }
+
     /// The empty graph on `n` vertices.
     pub fn empty(n: usize) -> Self {
         Graph {

@@ -3,7 +3,7 @@
 //! degeneracy, clustering and component structure explain *why* collections
 //! behave differently under the solver).
 
-use crate::degeneracy;
+use crate::degeneracy::{self, BucketPeel};
 use crate::graph::{Graph, VertexId};
 
 /// Summary statistics of a graph.
@@ -39,6 +39,7 @@ pub fn graph_stats(g: &Graph) -> GraphStats {
     let triangles = g.triangle_count();
     let wedges: usize = degrees.iter().map(|&d| d * d.saturating_sub(1) / 2).sum();
     let comp = components(g);
+    let (offsets, neighbors) = g.csr();
     GraphStats {
         n,
         m: g.m(),
@@ -49,7 +50,7 @@ pub fn graph_stats(g: &Graph) -> GraphStats {
         } else {
             2.0 * g.m() as f64 / n as f64
         },
-        degeneracy: degeneracy::peel_bucket(g).degeneracy,
+        degeneracy: degeneracy::peel_bucket(offsets, neighbors, &mut BucketPeel::default()),
         triangles,
         global_clustering: if wedges == 0 {
             0.0

@@ -5,7 +5,7 @@
 //! for every k and every point of a rising lower-bound schedule.
 
 use kdc_graph::ctcp::{scratch_fixpoint, Ctcp};
-use kdc_graph::{gen, Graph};
+use kdc_graph::gen;
 use proptest::prelude::*;
 
 proptest! {
@@ -28,8 +28,8 @@ proptest! {
             warm.tighten(lb);
             let (expected, expected_keep) = scratch_fixpoint(&g, k, lb);
             prop_assert_eq!(warm.alive_vertices(), expected_keep, "lb {}", lb);
-            let (adj, _) = warm.extract_universe();
-            prop_assert_eq!(Graph::from_adjacency(adj), expected, "lb {}", lb);
+            let (universe, _) = warm.extract_universe();
+            prop_assert_eq!(universe, expected, "lb {}", lb);
         }
     }
 
@@ -45,8 +45,8 @@ proptest! {
             warm.tighten(lb);
             let (expected, expected_keep) = scratch_fixpoint(&g, k, lb);
             prop_assert_eq!(warm.alive_vertices(), expected_keep, "lb {}", lb);
-            let (adj, _) = warm.extract_universe();
-            prop_assert_eq!(Graph::from_adjacency(adj), expected, "lb {}", lb);
+            let (universe, _) = warm.extract_universe();
+            prop_assert_eq!(universe, expected, "lb {}", lb);
             // Soundness: the planted solution (size 10 > lb would require
             // lb < 10) survives any tighten at lb < 10.
             if lb < planted.len() {
@@ -86,9 +86,9 @@ proptest! {
         batch_v.sort_unstable();
         removed_vertices.sort_unstable();
         prop_assert_eq!(batch_v, removed_vertices);
-        let (adj_batch, _) = batched.extract_universe();
-        let (adj_seq, _) = sequential.extract_universe();
-        prop_assert_eq!(adj_batch, adj_seq);
+        let (universe_batch, _) = batched.extract_universe();
+        let (universe_seq, _) = sequential.extract_universe();
+        prop_assert_eq!(universe_batch, universe_seq);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! Two claims are pinned:
 //! 1. after a warm-up pass, re-solving the same ego instances through
 //!    `SubproblemArena` performs **zero** heap allocations (the arena and
-//!    the hollow engine own all their buffers at steady state);
+//!    the hollow engine own all their buffers at steady state, including
+//!    the scratch of the shared bucket peel that ranks each universe —
+//!    `Engine::reset` is the priming path solver restarts use too);
 //! 2. a warm `Ctcp::tighten` at an already-reached bound allocates
 //!    nothing (the bucket queues are drained in place).
 //!
@@ -18,7 +20,7 @@
 use kdc::decompose::SubproblemArena;
 use kdc::SolverConfig;
 use kdc_graph::ctcp::Ctcp;
-use kdc_graph::gen;
+use kdc_graph::{gen, Graph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -72,21 +74,21 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// One pass of the ego-subproblem loop over every vertex: universe =
 /// v ∪ N(v) in reduced ids, exactly like the decomposition worker's
 /// distance-≤2 build but deterministic and self-contained.
-fn ego_pass(arena: &mut SubproblemArena, adj: &[Vec<u32>], lb: usize) -> u64 {
+fn ego_pass(arena: &mut SubproblemArena, g: &Graph, lb: usize) -> u64 {
     let mut solved = 0;
-    for v in 0..adj.len() as u32 {
+    for v in g.vertices() {
         arena.begin_instance();
         arena.admit(v);
-        for &w in &adj[v as usize] {
+        for &w in g.neighbors(v) {
             arena.admit(w);
         }
-        for &w in &adj[v as usize] {
-            for &x in &adj[w as usize] {
+        for &w in g.neighbors(v) {
+            for &x in g.neighbors(w) {
                 arena.admit(x);
             }
         }
         if arena.universe_len() > lb {
-            arena.solve_instance(adj, v, lb, None);
+            arena.solve_instance(g, v, lb, None);
             solved += 1;
         }
     }
@@ -98,15 +100,14 @@ fn warm_paths_do_not_allocate() {
     let mut rng = gen::seeded_rng(20230617);
     let g = gen::gnp(120, 0.12, &mut rng);
     let k = 2;
-    let adj: Vec<Vec<u32>> = (0..g.n() as u32).map(|v| g.neighbors(v).to_vec()).collect();
 
     // ---- claim 1: steady-state arena re-solves -------------------------
     let mut arena = SubproblemArena::new(g.n(), k, SolverConfig::kdc());
     let lb = 4;
-    let warm_solved = ego_pass(&mut arena, &adj, lb);
+    let warm_solved = ego_pass(&mut arena, &g, lb);
     assert!(warm_solved > 10, "graph too sparse to exercise the arena");
     let reuses_before = arena.reuses();
-    let (allocs, resolved) = count_allocs(|| ego_pass(&mut arena, &adj, lb));
+    let (allocs, resolved) = count_allocs(|| ego_pass(&mut arena, &g, lb));
     assert_eq!(resolved, warm_solved, "same instances both passes");
     assert_eq!(
         arena.reuses() - reuses_before,

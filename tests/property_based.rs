@@ -86,10 +86,12 @@ proptest! {
     fn degeneracy_ordering_and_cores_consistent(g in arb_graph(20)) {
         let p = degeneracy::peel(&g);
         prop_assert!(degeneracy::is_degeneracy_ordering(&g, &p.order));
-        let pb = degeneracy::peel_bucket(&g);
-        prop_assert!(degeneracy::is_degeneracy_ordering(&g, &pb.order));
-        prop_assert_eq!(p.degeneracy, pb.degeneracy);
-        prop_assert_eq!(&p.core, &pb.core);
+        let mut pb = degeneracy::BucketPeel::default();
+        let (off, dat) = g.csr();
+        let pb_degeneracy = degeneracy::peel_bucket(off, dat, &mut pb);
+        prop_assert!(degeneracy::is_degeneracy_ordering(&g, pb.order()));
+        prop_assert_eq!(p.degeneracy, pb_degeneracy);
+        prop_assert_eq!(&p.core, &pb.core_numbers());
         // k-core members have core number ≥ k, and the k-core has min degree ≥ k.
         for k in 0..=p.degeneracy {
             let (sub, _) = degeneracy::k_core(&g, k);
