@@ -499,9 +499,14 @@ impl Session {
     }
 
     /// The resident CTCP reducer for `key`, built on first use and resumed
-    /// from then on; returns `(reducer, resumed)`. Evicts the
-    /// least-recently-used slot when the cache is full.
-    fn ctcp_state(&self, key: CtcpKey) -> (Arc<Mutex<Ctcp>>, bool) {
+    /// from then on; returns `(reducer, resumed)`. A fresh build is traced
+    /// as a `ctcp_build` span on `trace`. Evicts the least-recently-used
+    /// slot when the cache is full.
+    fn ctcp_state(
+        &self,
+        key: CtcpKey,
+        trace: Option<&kdc_obs::Tracer>,
+    ) -> (Arc<Mutex<Ctcp>>, bool) {
         let mut cache = lock_unpoisoned(&self.ctcp);
         cache.tick += 1;
         let tick = cache.tick;
@@ -511,12 +516,14 @@ impl Session {
             return (slot.reducer.clone(), true);
         }
         self.bump(SessionCounter::CtcpBuilds, 1);
+        let span = trace.map(|t| t.span("ctcp_build"));
         let fresh = Arc::new(Mutex::new(Ctcp::with_rules(
             &self.graph,
             key.k,
             key.core_rule,
             key.truss_rule,
         )));
+        drop(span);
         if cache.cap == 0 {
             return (fresh, false);
         }
@@ -742,11 +749,14 @@ impl Session {
         // for this (k, rules) pair, and the best known witness seeds the
         // lower bound so the resumed reducer state is sound.
         config.shared_peeling = Some(self.peeling());
-        let (ctcp, ctcp_resumed) = self.ctcp_state(CtcpKey {
-            k,
-            core_rule: config.enable_rr5,
-            truss_rule: config.enable_rr6,
-        });
+        let (ctcp, ctcp_resumed) = self.ctcp_state(
+            CtcpKey {
+                k,
+                core_rule: config.enable_rr5,
+                truss_rule: config.enable_rr6,
+            },
+            config.trace.as_ref(),
+        );
         if !hints.schedule.is_empty() {
             lock_unpoisoned(&ctcp).tighten_batch(hints.schedule);
         }
@@ -1376,6 +1386,30 @@ mod tests {
         assert!(outcome.is_optimal());
         let phases: Vec<&str> = trace.summary().iter().map(|p| p.name).collect();
         assert!(phases.contains(&"peel"), "phases recorded: {phases:?}");
+        assert!(
+            phases.contains(&"ctcp_build"),
+            "a cold solve traces its reducer build: {phases:?}"
+        );
+        // A resumed reducer is not rebuilt, so it records no build span. A
+        // custom config with the same rules bypasses the result memo and
+        // resumes the reducer the first solve built.
+        let resumed_trace = kdc_obs::Tracer::new();
+        let resumed = session
+            .run_observed(
+                &Query::Solve { k: 2 },
+                &Budget::default(),
+                &Options::custom(kdc::SolverConfig::kdc()),
+                None,
+                Some(resumed_trace.clone()),
+            )
+            .unwrap();
+        assert!(resumed.cache.ctcp_resumed);
+        let phases: Vec<&str> = resumed_trace.summary().iter().map(|p| p.name).collect();
+        assert!(phases.contains(&"peel"), "phases recorded: {phases:?}");
+        assert!(
+            !phases.contains(&"ctcp_build"),
+            "phases recorded: {phases:?}"
+        );
         // The registry is process-global and shared with concurrently
         // running tests, so only presence (not exact values) is asserted.
         let text = kdc_obs::registry().render_prometheus();

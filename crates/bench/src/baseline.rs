@@ -9,9 +9,10 @@
 //! Two kinds of gate, both independent of machine speed:
 //!
 //! * against a committed baseline: a case's `nodes` may grow by at most
-//!   [`NODE_TOLERANCE`], and every `size*` metric (a solution size) must
-//!   match exactly. Wall-clock against the baseline is reported, never
-//!   gated, because hardware varies.
+//!   [`NODE_TOLERANCE`], and every `size*` metric (a solution size) and
+//!   every `*_removals` metric (a reducer's removal count) must match
+//!   exactly. Wall-clock against the baseline is reported, never gated,
+//!   because hardware varies.
 //! * within one run: each [`Gate`] divides one case's measure by another's
 //!   and bounds the ratio, so a ratio such as batch nodes over cold nodes
 //!   or word-kernel wall over scalar-kernel wall holds on any machine.
@@ -209,9 +210,9 @@ pub fn parse(text: &str) -> Vec<Case> {
 }
 
 /// The one checker: the same-run `gates` over `cases`, plus, when a
-/// committed `baseline` file's text is given, the node and size gates
-/// against it. Baseline cases this run did not measure fail; cases new to
-/// this run are noted.
+/// committed `baseline` file's text is given, the node, size and removal
+/// gates against it. Baseline cases this run did not measure fail; cases
+/// new to this run are noted.
 pub fn check(baseline: Option<&str>, gates: &[Gate], cases: &[Case]) -> Verdict {
     let mut v = Verdict::default();
     if let Some(text) = baseline {
@@ -245,7 +246,8 @@ pub fn check(baseline: Option<&str>, gates: &[Gate], cases: &[Case]) -> Verdict 
                         .push(format!("{}: nodes {now} (baseline {was}) ok", c.name));
                 }
             }
-            for (key, was) in b.metrics.iter().filter(|(k, _)| k.starts_with("size")) {
+            let exact = |k: &str| k.starts_with("size") || k.ends_with("_removals");
+            for (key, was) in b.metrics.iter().filter(|(k, _)| exact(k)) {
                 if let Some(now) = c.metric(key).filter(|now| now != was) {
                     v.failures
                         .push(format!("case {}: {key} changed {was} -> {now}", c.name));
@@ -338,6 +340,18 @@ mod tests {
         assert_eq!(v.failures.len(), 2, "{:?}", v.failures);
         assert!(v.failures[0].contains("nodes regressed 100 -> 106"));
         assert!(v.failures[1].contains("size changed 14 -> 13"));
+    }
+
+    #[test]
+    fn removal_count_changes_fail() {
+        let base = render("BENCH_T", &[], &cases(), &[]);
+        let mut now = cases();
+        now[2].metrics[0].1 = 8;
+        let v = check(Some(&base), &[], &now);
+        assert_eq!(
+            v.failures,
+            ["case ctcp/x/schedule: edge_removals changed 9 -> 8"]
+        );
     }
 
     #[test]

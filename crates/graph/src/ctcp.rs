@@ -5,7 +5,7 @@
 //! join a solution larger than `lb`), RR6 keeps the `(lb − k + 1)`-truss (an
 //! edge whose endpoints share `< lb − k − 1` common neighbours cannot lie
 //! inside one). Recomputing either fixpoint from scratch every time the
-//! incumbent improves costs a full `O(δ(G)·m)` triangle count per call.
+//! incumbent improves costs a full triangle count per call.
 //!
 //! [`Ctcp`] instead *maintains* per-vertex degrees and per-edge triangle
 //! supports alongside alive flags, and propagates removals through a work
@@ -18,11 +18,24 @@
 //! of what one core → truss → core sweep leaves behind, and never anything a
 //! solution larger than `lb` could use).
 //!
-//! Degrees and supports only ever decrease, so threshold crossings between
-//! two `tighten` calls are found by draining degree/support buckets rather
-//! than rescanning the graph: every decrement files the vertex (edge) under
-//! its new degree (support), and a `tighten` at a higher bound drains exactly
-//! the buckets the raised thresholds newly cover.
+//! The reducer is *core-first*. Construction is `O(n + m)` and counts no
+//! triangles: it indexes the edges and takes core numbers from one bucket
+//! peel. Until supports exist no edge has died to the truss rule, so the
+//! alive graph is exactly a core, and a `tighten` that raises the degree
+//! threshold to `t` deletes the vertices of core number `< t` in bulk,
+//! walking the peel order. Supports are counted once, at the first
+//! `tighten` whose truss threshold is active, over the surviving edges
+//! only. On sparse graphs with a small clique–core gap that core is a few
+//! hundred vertices, so the triangle count the rules need is nearly free.
+//! The joint fixpoint is unique and lies inside the `(lb − k)`-core, so
+//! counting late changes no survivor.
+//!
+//! From then on, degrees and supports only ever decrease, so threshold
+//! crossings between two `tighten` calls are found by draining
+//! degree/support buckets rather than rescanning the graph: every decrement
+//! files the vertex (edge) under its new degree (support), and a `tighten`
+//! at a higher bound drains exactly the buckets the raised thresholds newly
+//! cover.
 //!
 //! ```
 //! use kdc_graph::ctcp::Ctcp;
@@ -38,6 +51,7 @@
 //! assert_eq!(ctcp.alive_vertices(), vec![0, 1, 2]);
 //! ```
 
+use crate::degeneracy::{peel_bucket, BucketPeel};
 use crate::graph::{Graph, VertexId};
 use crate::scratch::ScratchMap;
 use crate::truss::EdgeIndex;
@@ -74,9 +88,18 @@ pub struct Ctcp {
     /// Whether the support (RR6 / truss) rule is active.
     truss_rule: bool,
 
-    /// `edges[e] = (u, v)` with `u < v`; `inc[v]` = sorted `(neighbour, e)`.
+    /// `edges[e] = (u, v)` with `u < v`; rows of sorted `(neighbour, e)`.
     idx: EdgeIndex,
-    /// Triangle support per edge (empty when the truss rule is off).
+    /// `(core number, vertex)` in bucket-peel order, so core numbers never
+    /// decrease along it; `peeled` is the prefix the core phase has
+    /// deleted. Empty when the core rule is off, dropped once supports
+    /// are counted.
+    core_order: Vec<(u32, VertexId)>,
+    peeled: usize,
+    /// Whether supports have been counted. Before that the alive graph is
+    /// the `deg_t`-core and the buckets are empty.
+    counted: bool,
+    /// Triangle support per edge (empty until counted).
     support: Vec<u32>,
     /// Alive degree per vertex.
     deg: Vec<u32>,
@@ -89,8 +112,8 @@ pub struct Ctcp {
     /// (lazily invalidated); likewise `ebucket[s]` for edge supports.
     vbucket: Vec<Vec<u32>>,
     ebucket: Vec<Vec<u32>>,
-    /// Degree / support thresholds already drained from the buckets
-    /// (exclusive: buckets `< deg_t` are empty of live entries).
+    /// Degree / support thresholds already applied (exclusive: no live
+    /// vertex or edge sits below them).
     deg_t: u32,
     supp_t: u32,
 
@@ -106,36 +129,37 @@ pub struct Ctcp {
 }
 
 impl Ctcp {
-    /// Builds the reducer with both rules (RR5 + RR6) active. Costs one
-    /// triangle-support computation, `O(δ(G)·m)`.
+    /// Builds the reducer with both rules (RR5 + RR6) active, in
+    /// `O(n + m)`; see [`Ctcp::with_rules`].
     pub fn new(g: &Graph, k: usize) -> Self {
         Self::with_rules(g, k, true, true)
     }
 
     /// Builds the reducer with each rule individually toggled (matching
-    /// `SolverConfig::enable_rr5` / `enable_rr6`). With the truss rule off
-    /// the support computation is skipped entirely and edges only die with
-    /// their endpoints.
+    /// `SolverConfig::enable_rr5` / `enable_rr6`). Costs `O(n + m)` and
+    /// counts no triangles: it builds the edge index, the degrees and, with
+    /// the core rule on, core numbers from one bucket peel. Triangle
+    /// supports are counted by the first [`Ctcp::tighten`] whose truss
+    /// threshold is active, over the edges that survive the core rule;
+    /// with the truss rule off they are never counted and edges only die
+    /// with their endpoints.
     pub fn with_rules(g: &Graph, k: usize, core_rule: bool, truss_rule: bool) -> Self {
         let n = g.n();
-        let (idx, support) = if truss_rule {
-            crate::truss::edge_supports(g)
-        } else {
-            (EdgeIndex::new(g), Vec::new())
-        };
+        let idx = EdgeIndex::new(g);
         let ne = idx.edges.len();
         let deg: Vec<u32> = (0..n as VertexId).map(|v| g.degree(v) as u32).collect();
-
-        let max_deg = deg.iter().copied().max().unwrap_or(0) as usize;
-        let mut vbucket: Vec<Vec<u32>> = vec![Vec::new(); max_deg + 1];
-        for (v, &d) in deg.iter().enumerate() {
-            vbucket[d as usize].push(v as u32);
-        }
-        let max_supp = support.iter().copied().max().unwrap_or(0) as usize;
-        let mut ebucket: Vec<Vec<u32>> = vec![Vec::new(); max_supp + 1];
-        for (e, &s) in support.iter().enumerate() {
-            ebucket[s as usize].push(e as u32);
-        }
+        let core_order = if core_rule {
+            let (offsets, neighbors) = g.csr();
+            let mut peel = BucketPeel::default();
+            peel_bucket(offsets, neighbors, &mut peel);
+            let core = peel.core_numbers();
+            peel.order()
+                .iter()
+                .map(|&v| (core[v as usize] as u32, v))
+                .collect()
+        } else {
+            Vec::new()
+        };
 
         Ctcp {
             k,
@@ -143,14 +167,17 @@ impl Ctcp {
             core_rule,
             truss_rule,
             idx,
-            support,
+            core_order,
+            peeled: 0,
+            counted: false,
+            support: Vec::new(),
             deg,
             v_alive: vec![true; n],
             e_alive: vec![true; ne],
             v_queued: vec![false; n],
             e_queued: vec![false; ne],
-            vbucket,
-            ebucket,
+            vbucket: Vec::new(),
+            ebucket: Vec::new(),
             deg_t: 0,
             supp_t: 0,
             alive_n: n,
@@ -232,52 +259,97 @@ impl Ctcp {
         let mut out = Removals::default();
         let edges_before = self.edge_removals;
 
-        // Drain the buckets the raised thresholds newly cover. Entries are
-        // lazily invalidated: skip anything dead, already queued, or filed
-        // under a stale degree/support (the live entry sits in a lower
-        // bucket that this same ascending sweep already drained).
-        for d in self.deg_t..new_deg_t.min(self.vbucket.len() as u32) {
-            let mut bucket = std::mem::take(&mut self.vbucket[d as usize]);
-            for v in bucket.drain(..) {
-                if self.v_alive[v as usize]
-                    && !self.v_queued[v as usize]
-                    && self.deg[v as usize] == d
-                {
-                    self.v_queued[v as usize] = true;
-                    self.vqueue.push(v);
+        if !self.counted {
+            // Core phase: the alive graph is the `deg_t`-core, so raising the
+            // threshold deletes exactly the vertices whose core number is
+            // below it, which come next in peel order.
+            while let Some(&(core, v)) = self.core_order.get(self.peeled) {
+                if core >= new_deg_t {
+                    break;
                 }
-            }
-        }
-        for s in self.supp_t..new_supp_t.min(self.ebucket.len() as u32) {
-            let mut bucket = std::mem::take(&mut self.ebucket[s as usize]);
-            for e in bucket.drain(..) {
-                if self.e_alive[e as usize]
-                    && !self.e_queued[e as usize]
-                    && self.support[e as usize] == s
-                {
-                    self.e_queued[e as usize] = true;
-                    self.equeue.push(e);
-                }
-            }
-        }
-        self.deg_t = self.deg_t.max(new_deg_t);
-        self.supp_t = self.supp_t.max(new_supp_t);
-
-        while !self.vqueue.is_empty() || !self.equeue.is_empty() {
-            if let Some(e) = self.equeue.pop() {
-                if self.e_alive[e as usize] {
-                    self.remove_edge(e);
-                }
-                continue;
-            }
-            let v = self.vqueue.pop().expect("queue checked non-empty");
-            if self.v_alive[v as usize] {
+                self.peeled += 1;
                 self.remove_vertex(v, &mut out.vertices);
+            }
+            self.deg_t = self.deg_t.max(new_deg_t);
+            if new_supp_t > 0 {
+                self.count_supports();
+            }
+        }
+
+        if self.counted {
+            // Drain the buckets the raised thresholds newly cover. Entries
+            // are lazily invalidated: skip anything dead, already queued, or
+            // filed under a stale degree/support (the live entry sits in a
+            // lower bucket that this same ascending sweep already drained).
+            for d in self.deg_t..new_deg_t.min(self.vbucket.len() as u32) {
+                let mut bucket = std::mem::take(&mut self.vbucket[d as usize]);
+                for v in bucket.drain(..) {
+                    if self.v_alive[v as usize]
+                        && !self.v_queued[v as usize]
+                        && self.deg[v as usize] == d
+                    {
+                        self.v_queued[v as usize] = true;
+                        self.vqueue.push(v);
+                    }
+                }
+            }
+            for s in self.supp_t..new_supp_t.min(self.ebucket.len() as u32) {
+                let mut bucket = std::mem::take(&mut self.ebucket[s as usize]);
+                for e in bucket.drain(..) {
+                    if self.e_alive[e as usize]
+                        && !self.e_queued[e as usize]
+                        && self.support[e as usize] == s
+                    {
+                        self.e_queued[e as usize] = true;
+                        self.equeue.push(e);
+                    }
+                }
+            }
+            self.deg_t = self.deg_t.max(new_deg_t);
+            self.supp_t = self.supp_t.max(new_supp_t);
+
+            while !self.vqueue.is_empty() || !self.equeue.is_empty() {
+                if let Some(e) = self.equeue.pop() {
+                    if self.e_alive[e as usize] {
+                        self.remove_edge(e);
+                    }
+                    continue;
+                }
+                let v = self.vqueue.pop().expect("queue checked non-empty");
+                if self.v_alive[v as usize] {
+                    self.remove_vertex(v, &mut out.vertices);
+                }
             }
         }
 
         out.edges = self.edge_removals - edges_before;
         out
+    }
+
+    /// Ends the core phase: counts triangle supports over the surviving
+    /// edges and files every survivor in the degree and support buckets.
+    /// Runs once, so the warm [`Ctcp::tighten`] stays allocation-free.
+    fn count_supports(&mut self) {
+        self.idx.retain(&self.v_alive, &self.e_alive);
+        self.support = crate::truss::count_supports(&self.idx);
+        let max_supp = self.support.iter().copied().max().unwrap_or(0) as usize;
+        self.ebucket = vec![Vec::new(); max_supp + 1];
+        for (e, &s) in self.support.iter().enumerate() {
+            if self.e_alive[e] {
+                self.ebucket[s as usize].push(e as u32);
+            }
+        }
+        if self.core_rule {
+            let max_deg = self.deg.iter().copied().max().unwrap_or(0) as usize;
+            self.vbucket = vec![Vec::new(); max_deg + 1];
+            for (v, &d) in self.deg.iter().enumerate() {
+                if self.v_alive[v] {
+                    self.vbucket[d as usize].push(v as u32);
+                }
+            }
+        }
+        self.core_order = Vec::new();
+        self.counted = true;
     }
 
     /// Applies a whole schedule of lower-bound steps in one queue drain:
@@ -300,9 +372,13 @@ impl Ctcp {
     }
 
     /// Files `v` under its (just decremented) degree, or queues it for
-    /// removal when it crossed the active threshold.
+    /// removal when it crossed the active threshold. A no-op in the core
+    /// phase and with the core rule off: no vertex buckets exist then.
     #[inline]
     fn refile_vertex(&mut self, v: u32) {
+        if !self.counted || !self.core_rule {
+            return;
+        }
         let d = self.deg[v as usize];
         if d < self.deg_t {
             if !self.v_queued[v as usize] {
@@ -328,11 +404,12 @@ impl Ctcp {
         }
     }
 
-    /// Removes edge `e` (both endpoints alive): two degree decrements and a
-    /// support decrement for both remaining edges of every triangle through
-    /// `e`. Cost: the shorter incidence scan to mark, the longer to probe.
+    /// Removes edge `e` (both endpoints alive, supports counted): two
+    /// degree decrements and a support decrement for both remaining edges
+    /// of every triangle through `e`. Cost: the shorter row scan to mark,
+    /// the longer to probe.
     fn remove_edge(&mut self, e: u32) {
-        debug_assert!(self.e_alive[e as usize]);
+        debug_assert!(self.counted && self.e_alive[e as usize]);
         self.e_alive[e as usize] = false;
         self.alive_m -= 1;
         self.edge_removals += 1;
@@ -344,25 +421,22 @@ impl Ctcp {
         self.refile_vertex(u);
         self.refile_vertex(v);
 
-        if !self.truss_rule {
-            return;
-        }
         // Common alive neighbours w: mark N(u) with the connecting edge id,
-        // probe from v's side (marking the smaller incidence list first).
-        let (a, b) = if self.idx.inc[u as usize].len() <= self.idx.inc[v as usize].len() {
+        // probe from v's side (marking the shorter row first).
+        let (a, b) = if self.idx.row(u).len() <= self.idx.row(v).len() {
             (u, v)
         } else {
             (v, u)
         };
         self.mark.reset();
-        for i in 0..self.idx.inc[a as usize].len() {
-            let (w, ea) = self.idx.inc[a as usize][i];
+        for i in self.idx.offsets[a as usize]..self.idx.offsets[a as usize + 1] {
+            let (w, ea) = self.idx.inc[i];
             if self.e_alive[ea as usize] {
                 self.mark.set(w as usize, ea as usize + 1);
             }
         }
-        for i in 0..self.idx.inc[b as usize].len() {
-            let (w, eb) = self.idx.inc[b as usize][i];
+        for i in self.idx.offsets[b as usize]..self.idx.offsets[b as usize + 1] {
+            let (w, eb) = self.idx.inc[i];
             if !self.e_alive[eb as usize] {
                 continue;
             }
@@ -379,36 +453,37 @@ impl Ctcp {
     }
 
     /// Removes vertex `v`: every incident alive edge dies (degree updates on
-    /// the far endpoints), and the third edge of every triangle through `v`
-    /// loses one support.
+    /// the far endpoints), and, once supports are counted, the third edge
+    /// of every triangle through `v` loses one support.
     fn remove_vertex(&mut self, v: u32, removed: &mut Vec<VertexId>) {
         debug_assert!(self.v_alive[v as usize]);
         self.v_alive[v as usize] = false;
         self.alive_n -= 1;
         self.vertex_removals += 1;
         removed.push(v);
+        let row = self.idx.offsets[v as usize]..self.idx.offsets[v as usize + 1];
 
-        // Snapshot + mark the alive neighbourhood first: triangle support
-        // updates must see the incident edges as they were at removal time.
-        self.mark.reset();
-        for i in 0..self.idx.inc[v as usize].len() {
-            let (w, e) = self.idx.inc[v as usize][i];
-            if self.e_alive[e as usize] {
-                self.mark.set(w as usize, 1);
+        if self.counted {
+            // Snapshot + mark the alive neighbourhood first: triangle support
+            // updates must see the incident edges as they were at removal
+            // time.
+            self.mark.reset();
+            for i in row.clone() {
+                let (w, e) = self.idx.inc[i];
+                if self.e_alive[e as usize] {
+                    self.mark.set(w as usize, 1);
+                }
             }
-        }
-
-        if self.truss_rule {
             // For each triangle (v, w, x): the surviving edge (w, x) loses
             // one support. Enumerated from each alive neighbour w by probing
-            // its incidence list against the mark, taking each pair once.
-            for i in 0..self.idx.inc[v as usize].len() {
-                let (w, ev) = self.idx.inc[v as usize][i];
+            // its row against the mark, taking each pair once.
+            for i in row.clone() {
+                let (w, ev) = self.idx.inc[i];
                 if !self.e_alive[ev as usize] {
                     continue;
                 }
-                for j in 0..self.idx.inc[w as usize].len() {
-                    let (x, ewx) = self.idx.inc[w as usize][j];
+                for j in self.idx.offsets[w as usize]..self.idx.offsets[w as usize + 1] {
+                    let (x, ewx) = self.idx.inc[j];
                     if x > w && self.e_alive[ewx as usize] && self.mark.get_or(x as usize, 0) == 1 {
                         self.support[ewx as usize] = self.support[ewx as usize].saturating_sub(1);
                         self.refile_edge(ewx);
@@ -418,8 +493,8 @@ impl Ctcp {
         }
 
         // Now retire the incident edges themselves.
-        for i in 0..self.idx.inc[v as usize].len() {
-            let (w, e) = self.idx.inc[v as usize][i];
+        for i in row {
+            let (w, e) = self.idx.inc[i];
             if !self.e_alive[e as usize] {
                 continue;
             }
@@ -447,9 +522,9 @@ impl Ctcp {
         let mut neighbors = Vec::with_capacity(2 * self.alive_m);
         offsets.push(0);
         for &v in &keep {
-            // `inc[v]` is sorted by neighbour and `new_id` is monotone, so
+            // Each row is sorted by neighbour and `new_id` is monotone, so
             // each row comes out sorted.
-            for &(w, e) in &self.idx.inc[v as usize] {
+            for &(w, e) in self.idx.row(v) {
                 if self.e_alive[e as usize] {
                     neighbors.push(new_id[w as usize]);
                 }
@@ -726,6 +801,36 @@ mod tests {
         // A batch entirely below the current bound is clamped away.
         assert!(c.tighten_batch(&[1, 2, 3]).is_empty());
         assert_eq!(c.lb(), 6);
+    }
+
+    #[test]
+    fn supports_are_counted_once_inside_the_core() {
+        let mut rng = gen::seeded_rng(77);
+        let g = gen::chung_lu(400, 8.0, 2.2, &mut rng);
+        let (k, lb) = (1, 7);
+        let mut c = Ctcp::new(&g, k);
+        assert!(
+            !c.counted && c.support.is_empty(),
+            "construction counts no triangles"
+        );
+        // Degree threshold 1, truss threshold 0: still the core phase.
+        c.tighten(k + 1);
+        assert!(!c.counted && c.support.is_empty());
+        c.tighten(lb);
+        assert!(c.counted);
+        // Only edges inside the (lb − k)-core were ever counted.
+        let core = crate::degeneracy::peel(&g).core;
+        let outside =
+            |&(u, v): &(VertexId, VertexId)| core[u as usize].min(core[v as usize]) < lb - k;
+        let mut outside_edges = 0;
+        for (e, edge) in c.idx.edges.iter().enumerate() {
+            if outside(edge) {
+                assert_eq!(c.support[e], 0, "edge {edge:?}");
+                outside_edges += 1;
+            }
+        }
+        assert!(outside_edges > 0, "the bulk pass must remove something");
+        assert!(c.core_order.is_empty(), "the core phase is over");
     }
 
     #[test]

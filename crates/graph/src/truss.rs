@@ -2,40 +2,84 @@
 //!
 //! The k-truss is the maximal *edge-induced* subgraph in which every edge
 //! participates in at least `k − 2` triangles. It is computed by iterative
-//! edge peeling over triangle supports, in O(δ(G)·m) time, and underlies the
-//! paper's reduction rule RR6 (the (lb−k+1)-truss of the input graph).
+//! edge peeling over triangle supports, and underlies the paper's reduction
+//! rule RR6 (the (lb−k+1)-truss of the input graph). Supports are counted
+//! by degree-ordered orientation in `O(m·√m)`.
 
 use crate::graph::{Graph, VertexId};
 use crate::scratch::ScratchMap;
 
 /// An indexed edge list: every undirected edge `(u, v)` with `u < v` gets a
-/// dense id, and adjacency is augmented with edge ids.
+/// dense id, and the adjacency rows of [`Graph::csr`] carry edge ids.
 #[derive(Clone, Debug)]
 pub struct EdgeIndex {
-    /// `edges[e] = (u, v)` with `u < v`.
+    /// `edges[e] = (u, v)` with `u < v`, in [`Graph::edges`] order.
     pub edges: Vec<(VertexId, VertexId)>,
-    /// Per-vertex list of `(neighbor, edge_id)`, sorted by neighbour.
-    pub inc: Vec<Vec<(VertexId, u32)>>,
+    /// The row of `v` is `inc[offsets[v]..offsets[v + 1]]`.
+    pub(crate) offsets: Vec<usize>,
+    /// Concatenated `(neighbour, edge_id)` rows, each sorted by neighbour.
+    pub(crate) inc: Vec<(VertexId, u32)>,
 }
 
 impl EdgeIndex {
-    /// Builds the index from a graph.
+    /// Builds the index from a graph in one pass over its sorted CSR rows.
     pub fn new(g: &Graph) -> Self {
+        let (offsets, neighbors) = g.csr();
+        let n = g.n();
         let mut edges = Vec::with_capacity(g.m());
-        let mut inc: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); g.n()];
-        for (u, v) in g.edges() {
-            let id = edges.len() as u32;
-            edges.push((u, v));
-            inc[u as usize].push((v, id));
-            inc[v as usize].push((u, id));
+        let mut inc = vec![(0, 0); neighbors.len()];
+        // Rows are visited in ascending `u`, so the neighbours `w < v` of
+        // each `v` arrive in ascending order: `fill[v]` walks the front of
+        // row `v`, and reaches the first neighbour above `v` exactly when
+        // row `v` itself is visited.
+        let mut fill: Vec<usize> = offsets[..n].to_vec();
+        for u in 0..n {
+            for i in fill[u]..offsets[u + 1] {
+                let v = neighbors[i];
+                let id = edges.len() as u32;
+                edges.push((u as VertexId, v));
+                inc[i] = (v, id);
+                inc[fill[v as usize]] = (u as VertexId, id);
+                fill[v as usize] += 1;
+            }
         }
-        // `Graph::edges` emits per-u sorted targets, so `inc[u]` entries with
-        // v > u are sorted; entries with v < u were appended in increasing u
-        // order as well. A final sort keeps the invariant simple.
-        for list in &mut inc {
-            list.sort_unstable_by_key(|&(v, _)| v);
+        EdgeIndex {
+            edges,
+            offsets: offsets.to_vec(),
+            inc,
         }
-        EdgeIndex { edges, inc }
+    }
+
+    /// The `(neighbour, edge_id)` row of `v`, sorted by neighbour.
+    #[inline]
+    pub fn row(&self, v: VertexId) -> &[(VertexId, u32)] {
+        &self.inc[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+
+    /// Shrinks the rows to a subgraph, in place and keeping rows sorted:
+    /// the row of a vertex `v` without `v_alive[v]` empties, and the other
+    /// rows keep the incidences of the edges `e` with `e_alive[e]`. A dead
+    /// vertex's edges must be dead. `edges` and the ids are unchanged, and
+    /// later row scans cost the subgraph's degrees only.
+    pub(crate) fn retain(&mut self, v_alive: &[bool], e_alive: &[bool]) {
+        let mut write = 0;
+        let mut lo = 0;
+        for (v, &alive) in v_alive.iter().enumerate() {
+            let hi = self.offsets[v + 1];
+            self.offsets[v] = write;
+            if alive {
+                for i in lo..hi {
+                    if e_alive[self.inc[i].1 as usize] {
+                        self.inc[write] = self.inc[i];
+                        write += 1;
+                    }
+                }
+            }
+            lo = hi;
+        }
+        self.offsets[v_alive.len()] = write;
+        self.inc.truncate(write);
+        self.inc.shrink_to_fit();
     }
 }
 
@@ -43,45 +87,72 @@ impl EdgeIndex {
 /// edge `e`.
 pub fn edge_supports(g: &Graph) -> (EdgeIndex, Vec<u32>) {
     let idx = EdgeIndex::new(g);
-    let mut support = vec![0u32; idx.edges.len()];
-    let mut mark = ScratchMap::new(g.n());
-    for &(u, v) in &idx.edges {
-        // Count common neighbours of u and v by marking N(u).
-        let (u, v) = if g.degree(u) <= g.degree(v) {
-            (v, u)
-        } else {
-            (u, v)
-        };
-        mark.reset();
-        for &w in g.neighbors(u) {
-            mark.set(w as usize, 1);
-        }
-        let e = edge_id(&idx, u, v).expect("edge present");
-        let mut cnt = 0u32;
-        for &w in g.neighbors(v) {
-            if mark.get_or(w as usize, 0) == 1 {
-                cnt += 1;
-            }
-        }
-        support[e as usize] = cnt;
-    }
+    let support = count_supports(&idx);
     (idx, support)
 }
 
+/// Triangle supports of the edges in the rows of `idx`; an edge whose
+/// incidences were dropped by [`EdgeIndex::retain`] gets 0.
+///
+/// Each edge is oriented from the endpoint of lower `(degree, id)` to the
+/// higher one, so every vertex keeps at most `√(2m)` out-neighbours, and
+/// each triangle is found once, from its lowest vertex `u`: mark the
+/// out-row of `u` with edge ids, then probe the out-rows of those
+/// out-neighbours. Costs `O(n + m·√m)` over the edges in the rows.
+pub(crate) fn count_supports(idx: &EdgeIndex) -> Vec<u32> {
+    let n = idx.offsets.len() - 1;
+    let deg = |v: usize| idx.offsets[v + 1] - idx.offsets[v];
+    let mut out_offsets = Vec::with_capacity(n + 1);
+    let mut out = Vec::new();
+    out_offsets.push(0);
+    for u in 0..n {
+        out.extend(
+            idx.row(u as VertexId)
+                .iter()
+                .filter(|&&(w, _)| (deg(u), u) < (deg(w as usize), w as usize)),
+        );
+        out_offsets.push(out.len());
+    }
+
+    let mut support = vec![0u32; idx.edges.len()];
+    let mut mark = ScratchMap::new(n);
+    for u in 0..n {
+        let row = &out[out_offsets[u]..out_offsets[u + 1]];
+        if row.len() < 2 {
+            continue; // the lowest vertex of a triangle has two out-edges
+        }
+        mark.reset();
+        for &(w, e_uw) in row {
+            mark.set(w as usize, e_uw as usize + 1);
+        }
+        for &(v, e_uv) in row {
+            for &(w, e_vw) in &out[out_offsets[v as usize]..out_offsets[v as usize + 1]] {
+                let stored = mark.get_or(w as usize, 0);
+                if stored != 0 {
+                    support[e_uv as usize] += 1;
+                    support[e_vw as usize] += 1;
+                    support[stored - 1] += 1;
+                }
+            }
+        }
+    }
+    support
+}
+
 /// Looks up the edge id of `(u, v)` in the index, if the edge exists.
-/// Probes the *smaller* of the two incidence lists (the id is recorded in
-/// both), so a lookup against a hub vertex costs `O(log d_min)`, not
-/// `O(log d_max)` — the same smaller-side rule as [`Graph::has_edge`].
+/// Probes the *smaller* of the two rows (the id is recorded in both), so a
+/// lookup against a hub vertex costs `O(log d_min)`, not `O(log d_max)` —
+/// the same smaller-side rule as [`Graph::has_edge`].
 pub fn edge_id(idx: &EdgeIndex, u: VertexId, v: VertexId) -> Option<u32> {
-    let (a, b) = if idx.inc[u as usize].len() <= idx.inc[v as usize].len() {
+    let (a, b) = if idx.row(u).len() <= idx.row(v).len() {
         (u, v)
     } else {
         (v, u)
     };
-    let list = &idx.inc[a as usize];
-    list.binary_search_by_key(&b, |&(w, _)| w)
+    let row = idx.row(a);
+    row.binary_search_by_key(&b, |&(w, _)| w)
         .ok()
-        .map(|i| list[i].1)
+        .map(|i| row[i].1)
 }
 
 /// Computes the `k`-truss of `g`: the maximal subgraph in which every edge is
@@ -116,12 +187,12 @@ pub fn truss_filter(g: &Graph, threshold: u32) -> Graph {
         // For each live common neighbour w, the edges (u,w) and (v,w) each
         // lose one triangle.
         mark.reset();
-        for &(w, eu) in &idx.inc[u as usize] {
+        for &(w, eu) in idx.row(u) {
             if alive[eu as usize] {
                 mark.set(w as usize, eu as usize + 1);
             }
         }
-        for &(w, ev) in &idx.inc[v as usize] {
+        for &(w, ev) in idx.row(v) {
             if !alive[ev as usize] {
                 continue;
             }
@@ -191,6 +262,46 @@ mod tests {
         }
         assert_eq!(edge_id(&idx, 1, 2), None);
         assert_eq!(edge_id(&idx, 2, 1), None);
+    }
+
+    #[test]
+    fn edge_index_rows_mirror_the_csr() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let g = gen::gnp(50, 0.2, &mut rng);
+        let idx = EdgeIndex::new(&g);
+        assert_eq!(idx.edges, g.edges().collect::<Vec<_>>());
+        for v in g.vertices() {
+            let row: Vec<VertexId> = idx.row(v).iter().map(|&(w, _)| w).collect();
+            assert_eq!(row, g.neighbors(v), "row {v}");
+            for &(w, e) in idx.row(v) {
+                assert_eq!(idx.edges[e as usize], (v.min(w), v.max(w)));
+            }
+        }
+    }
+
+    #[test]
+    fn supports_match_brute_force_common_neighbours() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        let (planted, _) = gen::planted_defective_clique(150, 14, 2, 0.05, &mut rng);
+        // A hub over a path rim: the hub's degree dwarfs every other, the
+        // case degree ordering exists for.
+        let mut star: Vec<(VertexId, VertexId)> = (1..=40).map(|v| (0, v)).collect();
+        star.extend((1..40).map(|v| (v, v + 1)));
+        let graphs = [
+            gen::gnp(60, 0.2, &mut rng),
+            planted,
+            Graph::from_edges(41, &star),
+            gen::chung_lu(300, 8.0, 2.3, &mut rng),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let (idx, support) = edge_supports(g);
+            let brute: Vec<u32> = idx
+                .edges
+                .iter()
+                .map(|&(u, v)| g.neighbors(u).iter().filter(|&&w| g.has_edge(v, w)).count() as u32)
+                .collect();
+            assert_eq!(support, brute, "graph {i}");
+        }
     }
 
     #[test]

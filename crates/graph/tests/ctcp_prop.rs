@@ -3,10 +3,60 @@
 //! exactly the fixpoint the from-scratch `truss_filter` + `k_core`
 //! iteration computes — same surviving vertices, same surviving edges —
 //! for every k and every point of a rising lower-bound schedule.
+//!
+//! The hub-heavy Chung–Lu cases pin down the core-first path: a bulk
+//! core-number pass before any support exists, then one support count over
+//! the survivors, under every rule toggle and every schedule shape.
 
-use kdc_graph::ctcp::{scratch_fixpoint, Ctcp};
-use kdc_graph::gen;
+use kdc_graph::ctcp::{scratch_fixpoint, scratch_fixpoint_rules, Ctcp};
+use kdc_graph::{gen, Graph};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// Every `(core_rule, truss_rule)` toggle.
+const RULES: [(bool, bool); 4] = [(true, true), (true, false), (false, true), (false, false)];
+
+/// A hub-heavy Chung–Lu graph: `beta` just above 2 gives a few vertices of
+/// degree far above the average.
+fn hub_graph(seed: u64, n: usize, avg_deg: usize, beta_tenths: usize) -> Graph {
+    let mut rng = gen::seeded_rng(seed);
+    gen::chung_lu(n, avg_deg as f64, beta_tenths as f64 / 10.0, &mut rng)
+}
+
+/// The reducer equals the from-scratch fixpoint at `lb`, edges included,
+/// and its removal counters account for every input vertex and edge.
+fn assert_at_fixpoint(
+    c: &Ctcp,
+    g: &Graph,
+    lb: usize,
+    (core_rule, truss_rule): (bool, bool),
+) -> Result<(), TestCaseError> {
+    let (expected, expected_keep) = scratch_fixpoint_rules(g, c.k(), lb, core_rule, truss_rule);
+    prop_assert_eq!(c.lb(), lb);
+    prop_assert_eq!(
+        c.alive_vertices(),
+        expected_keep,
+        "lb {} rules {:?}",
+        lb,
+        c.rules()
+    );
+    prop_assert_eq!(
+        c.extract_universe().0,
+        expected,
+        "lb {} rules {:?}",
+        lb,
+        c.rules()
+    );
+    let (v_removed, e_removed) = c.removal_counters();
+    prop_assert_eq!(
+        (
+            v_removed as usize + c.alive_n(),
+            e_removed as usize + c.alive_m()
+        ),
+        (g.n(), g.m())
+    );
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -107,5 +157,56 @@ proptest! {
         prop_assert_eq!(e_removed, rem.edges);
         prop_assert_eq!(c.alive_n() + v_removed as usize, g.n());
         prop_assert_eq!(c.alive_m() + e_removed as usize, g.m());
+    }
+
+    #[test]
+    fn core_first_matches_scratch_fixpoint_on_hub_graphs(
+        seed in 0u64..10_000,
+        n in 60usize..400,
+        avg_deg in 4usize..14,
+        beta_tenths in 21usize..28,
+        k in 0usize..4,
+        first in 0usize..5,
+        steps in proptest::collection::vec(0usize..16, 1..4),
+    ) {
+        let g = hub_graph(seed, n, avg_deg, beta_tenths);
+        // The first bound is at most k + 1, so no truss threshold is active
+        // yet and supports are counted by a later step; the later steps
+        // come in any order and are clamped to the running maximum.
+        let schedule: Vec<usize> = std::iter::once(first.min(k + 1)).chain(steps).collect();
+        for rules in RULES {
+            let mut c = Ctcp::with_rules(&g, k, rules.0, rules.1);
+            let mut lb = 0;
+            for &step in &schedule {
+                c.tighten(step);
+                lb = lb.max(step);
+                assert_at_fixpoint(&c, &g, lb, rules)?;
+            }
+        }
+    }
+
+    #[test]
+    fn core_first_batches_match_scratch_fixpoint_on_hub_graphs(
+        seed in 0u64..10_000,
+        n in 60usize..400,
+        avg_deg in 4usize..14,
+        k in 0usize..4,
+        first in 0usize..5,
+        batches in proptest::collection::vec(proptest::collection::vec(0usize..16, 0..4), 1..4),
+    ) {
+        let g = hub_graph(seed, n, avg_deg, 22);
+        for rules in RULES {
+            let mut c = Ctcp::with_rules(&g, k, rules.0, rules.1);
+            c.tighten_batch(&[first.min(k + 1)]);
+            let mut lb = first.min(k + 1);
+            assert_at_fixpoint(&c, &g, lb, rules)?;
+            // Unsorted batches with duplicates, possibly empty, possibly
+            // entirely below the bound already applied.
+            for batch in &batches {
+                c.tighten_batch(batch);
+                lb = batch.iter().copied().fold(lb, usize::max);
+                assert_at_fixpoint(&c, &g, lb, rules)?;
+            }
+        }
     }
 }

@@ -170,6 +170,18 @@ impl Tracer {
         self.len() == 0
     }
 
+    /// Gives back the ring's unused capacity, keeping the recorded spans.
+    /// For a tracer that is kept after its work is done; recording into it
+    /// again allocates as the ring grows back towards its capacity.
+    pub fn shrink_to_fit(&self) {
+        self.inner
+            .ring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .spans
+            .shrink_to_fit();
+    }
+
     /// Number of spans overwritten after the ring filled.
     pub fn dropped(&self) -> u64 {
         self.inner
@@ -323,6 +335,19 @@ mod tests {
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.dropped(), 6);
+    }
+
+    #[test]
+    fn shrink_keeps_spans_and_the_bound() {
+        let t = Tracer::with_capacity(4);
+        drop(t.span("kept"));
+        t.shrink_to_fit();
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.summary()[0].name, "kept");
+        for _ in 0..10 {
+            let _s = t.span("x");
+        }
+        assert_eq!((t.len(), t.dropped()), (4, 7));
     }
 
     #[test]

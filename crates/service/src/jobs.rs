@@ -797,6 +797,11 @@ fn worker_loop(queue: &JobQueue) {
             JobOutcome::Error(_) => JobState::Failed,
             JobOutcome::Done(_) | JobOutcome::Batch(_) => JobState::Done,
         };
+        // The record keeps the job's tracer for `TRACE <id>` as long as the
+        // daemon runs: keep only the spans recorded, not the whole ring.
+        if let Some(trace) = spec.trace() {
+            trace.shrink_to_fit();
+        }
         queue.finish(id, state_after, outcome);
     }
 }
