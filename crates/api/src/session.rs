@@ -354,9 +354,16 @@ impl Session {
     /// The degeneracy peeling (ordering, ranks, core numbers), computed at
     /// most once per session and shared from then on.
     pub fn peeling(&self) -> Arc<Peeling> {
+        self.peeling_traced(None)
+    }
+
+    /// [`Session::peeling`], tracing a fresh peel as a `peel_build` span on
+    /// `trace`.
+    fn peeling_traced(&self, trace: Option<&kdc_obs::Tracer>) -> Arc<Peeling> {
         self.peeling
             .get_or_init(|| {
                 self.bump(SessionCounter::PeelBuilds, 1);
+                let _span = trace.map(|t| t.span("peel_build"));
                 Arc::new(degeneracy::peel(&self.graph))
             })
             .clone()
@@ -748,7 +755,7 @@ impl Session {
         // cached peeling, preprocessing resumes the resident CTCP reducer
         // for this (k, rules) pair, and the best known witness seeds the
         // lower bound so the resumed reducer state is sound.
-        config.shared_peeling = Some(self.peeling());
+        config.shared_peeling = Some(self.peeling_traced(config.trace.as_ref()));
         let (ctcp, ctcp_resumed) = self.ctcp_state(
             CtcpKey {
                 k,
@@ -1390,9 +1397,14 @@ mod tests {
             phases.contains(&"ctcp_build"),
             "a cold solve traces its reducer build: {phases:?}"
         );
-        // A resumed reducer is not rebuilt, so it records no build span. A
-        // custom config with the same rules bypasses the result memo and
-        // resumes the reducer the first solve built.
+        assert!(
+            phases.contains(&"peel_build"),
+            "a cold solve traces its peel: {phases:?}"
+        );
+        // A resumed reducer and the cached peeling are not rebuilt, so they
+        // record no build span. A custom config with the same rules
+        // bypasses the result memo and resumes the reducer the first solve
+        // built.
         let resumed_trace = kdc_obs::Tracer::new();
         let resumed = session
             .run_observed(
@@ -1407,7 +1419,7 @@ mod tests {
         let phases: Vec<&str> = resumed_trace.summary().iter().map(|p| p.name).collect();
         assert!(phases.contains(&"peel"), "phases recorded: {phases:?}");
         assert!(
-            !phases.contains(&"ctcp_build"),
+            !phases.contains(&"ctcp_build") && !phases.contains(&"peel_build"),
             "phases recorded: {phases:?}"
         );
         // The registry is process-global and shared with concurrently

@@ -11,7 +11,8 @@
 //!   prunes / ns / prune rate for UB2, UB3, UB1, KD-Club, UB4) and the
 //!   per-phase nanoseconds of the tracer spans `kdc solve --profile`
 //!   prints. Plus the incremental CTCP reducer across a rising lower-bound
-//!   schedule.
+//!   schedule, and the tie-ordered degeneracy peel against the O(n + m)
+//!   bucket peel on `rmat16`.
 //! * **batch** — `planted-200-k3` swept as one batch over `k = 0..=4`
 //!   versus five fresh-session cold solves. Answers must be byte-identical
 //!   and the sweep must share at least one reducer pass and seed at least
@@ -22,13 +23,13 @@
 //!   byte-identical to the cold solve.
 //!
 //! Every run checks the same-run ratio gates (kdclub/kdc nodes, word/scalar
-//! wall, batch/cold nodes and wall, warm/cold nodes), which hold on any
-//! machine. `--check` also gates node counts (5%) and solution sizes
-//! against a committed baseline; it reads any `BENCH_*.json` since
-//! `BENCH_5`, so older snapshots stay checkable. Wall-clock against a
-//! baseline is reported, never gated. Writing a snapshot also measures the
-//! observability layer's cost (planted-200 with `kdc_obs` enabled vs
-//! disabled; target ≤ 2%, reported only).
+//! wall, tie-ordered/bucket peel wall, batch/cold nodes and wall, warm/cold
+//! nodes), which hold on any machine. `--check` also gates node counts (5%)
+//! and solution sizes against a committed baseline; it reads any
+//! `BENCH_*.json` since `BENCH_5`, so older snapshots stay checkable.
+//! Wall-clock against a baseline is reported, never gated. Writing a
+//! snapshot also measures the observability layer's cost (planted-200 with
+//! `kdc_obs` enabled vs disabled; target ≤ 2%, reported only).
 //!
 //! Usage: `bench [--out PATH] [--check [PATH]] [--reps N]`.
 
@@ -36,6 +37,7 @@ use kdc::{bound, Solver, SolverConfig};
 use kdc_api::{Budget, Options, Outcome, Session, SubQuery};
 use kdc_bench::baseline::{self, median_ns, Case, Gate, Measure};
 use kdc_graph::ctcp::Ctcp;
+use kdc_graph::degeneracy::{self, BucketPeel};
 use kdc_graph::{gen, Graph};
 use kdc_service::{export_graph_state, import_graph_state};
 use kdc_store::Store;
@@ -166,6 +168,40 @@ fn solve_suite(reps: usize) -> Suite {
         }
     }
     cases.push(ctcp_case(&instances[search_heavy].1, reps));
+    let (peel_cases, peel_gates) = peel_suite(reps);
+    cases.extend(peel_cases);
+    gates.extend(peel_gates);
+    (cases, gates)
+}
+
+/// The tie-ordered `degeneracy::peel` against the O(n + m) `peel_bucket` on
+/// one sparse R-MAT graph. Both allocate their buffers afresh each run.
+fn peel_suite(reps: usize) -> Suite {
+    let g = gen::rmat(16, 8, &mut gen::seeded_rng(7));
+    let (offsets, neighbors) = g.csr();
+    let delta = degeneracy::peel(&g).degeneracy;
+    let tie_median = median_ns(reps, || {
+        std::hint::black_box(degeneracy::peel(std::hint::black_box(&g)));
+    });
+    let bucket_median = median_ns(reps, || {
+        let mut scratch = BucketPeel::default();
+        let d = degeneracy::peel_bucket(offsets, neighbors, &mut scratch);
+        assert_eq!(d, delta, "rmat16: both peels agree on the degeneracy");
+        std::hint::black_box(scratch);
+    });
+    let tie = "peel/rmat16/tie-ordered".to_string();
+    let bucket = "peel/rmat16/bucket".to_string();
+    let cases = vec![
+        Case::new(tie.clone(), tie_median, reps).with("degeneracy", delta as u64),
+        Case::new(bucket.clone(), bucket_median, reps).with("degeneracy", delta as u64),
+    ];
+    let gates = vec![gate(
+        Measure::Wall,
+        tie,
+        bucket,
+        3.0,
+        "the tie-ordered peel stays within a constant factor of the O(n + m) peel",
+    )];
     (cases, gates)
 }
 
