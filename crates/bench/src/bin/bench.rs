@@ -11,8 +11,8 @@
 //!   prunes / ns / prune rate for UB2, UB3, UB1, KD-Club, UB4) and the
 //!   per-phase nanoseconds of the tracer spans `kdc solve --profile`
 //!   prints. Plus the incremental CTCP reducer across a rising lower-bound
-//!   schedule, and the tie-ordered degeneracy peel against the O(n + m)
-//!   bucket peel on `rmat16`.
+//!   schedule, the tie-ordered degeneracy peel against the O(n + m)
+//!   bucket peel on `rmat16`, and `io::read_graph` of `rmat16` as DIMACS.
 //! * **batch** — `planted-200-k3` swept as one batch over `k = 0..=4`
 //!   versus five fresh-session cold solves. Answers must be byte-identical
 //!   and the sweep must share at least one reducer pass and seed at least
@@ -23,13 +23,14 @@
 //!   byte-identical to the cold solve.
 //!
 //! Every run checks the same-run ratio gates (kdclub/kdc nodes, word/scalar
-//! wall, tie-ordered/bucket peel wall, batch/cold nodes and wall, warm/cold
-//! nodes), which hold on any machine. `--check` also gates node counts (5%)
-//! and solution sizes against a committed baseline; it reads any
-//! `BENCH_*.json` since `BENCH_5`, so older snapshots stay checkable.
-//! Wall-clock against a baseline is reported, never gated. Writing a
-//! snapshot also measures the observability layer's cost (planted-200 with
-//! `kdc_obs` enabled vs disabled; target ≤ 2%, reported only).
+//! wall, tie-ordered/bucket peel wall, read_graph/bucket peel wall,
+//! batch/cold nodes and wall, warm/cold nodes), which hold on any machine.
+//! `--check` also gates node counts (5%) and solution sizes against a
+//! committed baseline; it reads any `BENCH_*.json` since `BENCH_5`, so
+//! older snapshots stay checkable. Wall-clock against a baseline is
+//! reported, never gated. Writing a snapshot also measures the
+//! observability layer's cost (planted-200 with `kdc_obs` enabled vs
+//! disabled; target ≤ 2%, reported only).
 //!
 //! Usage: `bench [--out PATH] [--check [PATH]] [--reps N]`.
 
@@ -46,6 +47,12 @@ use std::path::Path;
 /// Default snapshot path, relative to the invocation directory (the
 /// workspace root under `cargo run`).
 const DEFAULT_PATH: &str = "BENCH_9.json";
+
+/// Bound on `read_graph / bucket peel` wall on rmat16: about 1.5x the
+/// highest ratio measured when the gate was set (3.7 to 5.4 over four
+/// `--reps 3` runs on a 2-vCPU VM). The line-based `&str` parser it
+/// replaced took about 1.9x as long on the same file, a ratio near 10.
+const READ_GRAPH_MAX: f64 = 8.0;
 
 /// The defect budgets of the batch sweep.
 const K_SWEEP: std::ops::RangeInclusive<usize> = 0..=4;
@@ -168,20 +175,21 @@ fn solve_suite(reps: usize) -> Suite {
         }
     }
     cases.push(ctcp_case(&instances[search_heavy].1, reps));
-    let (peel_cases, peel_gates) = peel_suite(reps);
-    cases.extend(peel_cases);
-    gates.extend(peel_gates);
+    let rmat16 = gen::rmat(16, 8, &mut gen::seeded_rng(7));
+    for (c, g) in [peel_suite(&rmat16, reps), read_graph_suite(&rmat16, reps)] {
+        cases.extend(c);
+        gates.extend(g);
+    }
     (cases, gates)
 }
 
 /// The tie-ordered `degeneracy::peel` against the O(n + m) `peel_bucket` on
 /// one sparse R-MAT graph. Both allocate their buffers afresh each run.
-fn peel_suite(reps: usize) -> Suite {
-    let g = gen::rmat(16, 8, &mut gen::seeded_rng(7));
+fn peel_suite(g: &Graph, reps: usize) -> Suite {
     let (offsets, neighbors) = g.csr();
-    let delta = degeneracy::peel(&g).degeneracy;
+    let delta = degeneracy::peel(g).degeneracy;
     let tie_median = median_ns(reps, || {
-        std::hint::black_box(degeneracy::peel(std::hint::black_box(&g)));
+        std::hint::black_box(degeneracy::peel(std::hint::black_box(g)));
     });
     let bucket_median = median_ns(reps, || {
         let mut scratch = BucketPeel::default();
@@ -203,6 +211,33 @@ fn peel_suite(reps: usize) -> Suite {
         "the tie-ordered peel stays within a constant factor of the O(n + m) peel",
     )];
     (cases, gates)
+}
+
+/// `io::read_graph` of the same R-MAT graph, written once as DIMACS: file
+/// to CSR, gated against the O(n + m) bucket peel of that graph.
+fn read_graph_suite(g: &Graph, reps: usize) -> Suite {
+    let dir = std::env::temp_dir().join(format!("kdc_bench_io_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("rmat16.clq");
+    kdc_graph::io::write_dimacs(g, &path).expect("write graph file");
+    let back = kdc_graph::io::read_graph(&path).expect("read graph file");
+    assert_eq!(&back, g, "rmat16: the DIMACS round trip is the identity");
+    let median = median_ns(reps, || {
+        std::hint::black_box(kdc_graph::io::read_graph(&path).expect("read graph file"));
+    });
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    let name = "io/rmat16/read_graph".to_string();
+    let case = Case::new(name.clone(), median, reps)
+        .with("n", g.n() as u64)
+        .with("m", g.m() as u64);
+    let gates = vec![gate(
+        Measure::Wall,
+        name,
+        "peel/rmat16/bucket".to_string(),
+        READ_GRAPH_MAX,
+        "parsing a file stays within a constant factor of one O(n + m) pass over its graph",
+    )];
+    (vec![case], gates)
 }
 
 fn batch_suite(reps: usize) -> Suite {

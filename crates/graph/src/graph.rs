@@ -35,22 +35,65 @@ impl Graph {
     /// Builds a graph on `n` vertices from an edge list. Self-loops are
     /// dropped and duplicate/reversed edges are merged.
     ///
+    /// Two passes straight into CSR: count degrees, scatter both half-edges
+    /// of every non-loop edge into one `neighbors` array, then sort and
+    /// dedup each row in place while compacting the array leftwards. No
+    /// per-vertex list is allocated: peak memory is `edges` plus the CSR
+    /// before deduplication.
+    ///
     /// # Panics
     /// Panics if an endpoint is `≥ n`.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        // offsets[v + 1] counts v's half-edges, then becomes a prefix sum.
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in edges {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "edge ({u}, {v}) out of range for n = {n}"
             );
-            if u == v {
-                continue;
+            if u != v {
+                offsets[u as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
             }
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
         }
-        Self::from_adjacency(adj)
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // Scatter with offsets[v] as v's write cursor: afterwards it points
+        // at the end of row v, the start of row v + 1, so one shift right
+        // restores the row starts.
+        let mut neighbors = vec![0; offsets[n]];
+        for &(u, v) in edges {
+            if u != v {
+                neighbors[offsets[u as usize]] = v;
+                offsets[u as usize] += 1;
+                neighbors[offsets[v as usize]] = u;
+                offsets[v as usize] += 1;
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        // Sort + dedup row by row; the write head never passes the row
+        // being read, so the compaction is in place.
+        let mut write = 0;
+        for v in 0..n {
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            offsets[v] = write;
+            neighbors[start..end].sort_unstable();
+            let mut prev = None;
+            for i in start..end {
+                let w = neighbors[i];
+                if prev != Some(w) {
+                    neighbors[write] = w;
+                    write += 1;
+                    prev = Some(w);
+                }
+            }
+        }
+        offsets[n] = write;
+        neighbors.truncate(write);
+        neighbors.shrink_to_fit();
+        Self::from_csr(offsets, neighbors)
     }
 
     /// Builds a graph from per-vertex adjacency lists. Lists are sorted and
@@ -91,8 +134,8 @@ impl Graph {
 
     /// Wraps an already-built CSR: `neighbors[offsets[v]..offsets[v + 1]]`
     /// must be the sorted, loop-free row of `v`, and rows must be symmetric.
-    /// Reducers that extract a relabelled universe build it this way instead
-    /// of going through per-vertex lists.
+    /// [`Graph::from_edges`] and the reducers that extract a relabelled
+    /// universe build it this way instead of going through per-vertex lists.
     pub(crate) fn from_csr(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
         debug_assert_eq!(offsets.last().copied(), Some(neighbors.len()));
         debug_assert_eq!(neighbors.len() % 2, 0, "directed half-edges must pair up");

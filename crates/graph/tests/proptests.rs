@@ -144,11 +144,29 @@ proptest! {
     }
 
     #[test]
-    fn edge_list_parser_never_panics(text in "[ -~\n]{0,300}") {
-        // Fuzz: arbitrary printable input must parse or error, never panic.
-        let _ = io::parse_edge_list(&text, false);
-        let _ = io::parse_edge_list(&text, true);
-        let _ = io::parse_dimacs(&text);
-        let _ = io::parse_metis(&text);
+    fn edge_list_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
+        // Fuzz: arbitrary bytes must parse or error, never panic, in all
+        // three readers.
+        let _ = io::parse_edge_list(&bytes[..], false);
+        let _ = io::parse_edge_list(&bytes[..], true);
+        let _ = io::parse_dimacs(&bytes[..]);
+        let _ = io::parse_metis(&bytes[..]);
+    }
+
+    #[test]
+    fn from_edges_matches_from_adjacency(n in 0usize..40,
+                                         raw in proptest::collection::vec((0u32..40, 0u32..40), 0..200)) {
+        // Random edge multisets: duplicates, reversals and self-loops.
+        let edges: Vec<(u32, u32)> = if n == 0 {
+            Vec::new()
+        } else {
+            raw.into_iter().map(|(a, b)| (a % n as u32, b % n as u32)).collect()
+        };
+        let mut adj = vec![Vec::new(); n];
+        for &(u, v) in &edges {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        prop_assert_eq!(Graph::from_edges(n, &edges), Graph::from_adjacency(adj));
     }
 }

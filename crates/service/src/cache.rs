@@ -201,8 +201,9 @@ impl GraphCache {
     /// which case the entry (and all its warm session state, including
     /// anything recovered from the durable store) is kept and returned:
     /// re-`LOAD`ing unchanged content is idempotent, never state loss.
-    /// The raw file bytes are hashed first so the entry carries the
-    /// identity recovery revalidates against. Returns the entry.
+    /// The file is read once: its raw bytes are hashed first, so the entry
+    /// carries the identity recovery revalidates against, and then parsed
+    /// in place. Returns the entry.
     pub fn load(&self, path: &str, name: &str) -> Result<Arc<GraphEntry>, String> {
         self.insert_fault()?;
         let t0 = Instant::now();
@@ -215,7 +216,7 @@ impl GraphCache {
                 return Ok(existing);
             }
         }
-        let graph = kdc_graph::io::read_graph(Path::new(path))
+        let graph = kdc_graph::io::parse_by_extension(Path::new(path), &bytes[..])
             .map_err(|e| format!("cannot read {path}: {e}"))?;
         self.parses.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(GraphEntry::new(
