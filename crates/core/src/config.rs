@@ -224,16 +224,16 @@ pub struct SolverConfig {
     pub use_eq2_bound: bool,
     /// Drive the engine's per-node hot path (S-insertion, candidate removal,
     /// backtracking, maximality checks, RR4 common-neighbour counts) through
-    /// masked `u64`-word sweeps instead of per-vertex probes. The search
-    /// tree is bit-identical either way — this flag exists so the scalar
-    /// path stays testable as the parity reference and measurable as the
-    /// benchmark baseline.
+    /// masked `u64`-word sweeps over a dense bit-matrix of the universe,
+    /// built whenever it fits the engine's 64 MiB word budget (universes of
+    /// at most 23,168 vertices). Off selects the sorted-list representation
+    /// and its per-vertex probes for every universe. The search tree is
+    /// bit-identical either way — this flag exists so the scalar path stays
+    /// testable as the parity reference and measurable as the benchmark
+    /// baseline.
     pub word_kernel: bool,
     /// Initial-solution heuristic (Line 1 of Algorithm 2).
     pub heuristic: InitialHeuristic,
-    /// Build a bit-matrix over the reduced universe when it has at most this
-    /// many vertices (`0` disables the dense acceleration entirely).
-    pub matrix_limit: usize,
     /// Wall-clock limit; on expiry the best solution found so far is
     /// returned with [`crate::Status::TimedOut`].
     pub time_limit: Option<Duration>,
@@ -304,7 +304,6 @@ impl SolverConfig {
             use_eq2_bound: false,
             word_kernel: true,
             heuristic: InitialHeuristic::DegenOpt,
-            matrix_limit: 16_384,
             time_limit: None,
             node_limit: None,
             cancel: None,
@@ -336,7 +335,6 @@ impl SolverConfig {
             use_eq2_bound: false,
             word_kernel: true,
             heuristic: InitialHeuristic::None,
-            matrix_limit: 16_384,
             time_limit: None,
             node_limit: None,
             cancel: None,
@@ -417,7 +415,6 @@ impl SolverConfig {
             use_eq2_bound: false,
             word_kernel: true,
             heuristic: InitialHeuristic::Degen,
-            matrix_limit: 16_384,
             time_limit: None,
             node_limit: None,
             cancel: None,
@@ -448,7 +445,6 @@ impl SolverConfig {
             use_eq2_bound: true,
             word_kernel: true,
             heuristic: InitialHeuristic::Degen,
-            matrix_limit: 16_384,
             time_limit: None,
             node_limit: None,
             cancel: None,
@@ -482,9 +478,10 @@ impl SolverConfig {
         self
     }
 
-    /// Disables the word-parallel engine kernel, forcing the scalar
-    /// per-vertex hot path (the parity reference and benchmark baseline;
-    /// see [`SolverConfig::word_kernel`]).
+    /// Disables the word-parallel engine kernel: every universe runs on the
+    /// sorted-list representation with the scalar per-vertex hot path (the
+    /// parity reference and benchmark baseline; see
+    /// [`SolverConfig::word_kernel`]).
     pub fn with_scalar_kernel(mut self) -> Self {
         self.word_kernel = false;
         self

@@ -584,8 +584,7 @@ mod tests {
             for k in [1usize, 4] {
                 let mut with_matrix = SolverConfig::kdc_t();
                 with_matrix.enable_ub1 = true;
-                let mut without = with_matrix.clone();
-                without.matrix_limit = 0;
+                let without = with_matrix.clone().with_scalar_kernel();
 
                 let mut e1 = engine(&g, k, with_matrix);
                 let mut e2 = engine(&g, k, without);

@@ -23,6 +23,19 @@
 //! * `edges_alive` — edges among alive vertices, giving the O(1) leaf test
 //!   `C(alive, 2) − edges_alive ≤ k`.
 //!
+//! # Adjacency
+//!
+//! [`Engine::reset`] picks one of two representations per universe:
+//!
+//! * **dense** — a [`BitMatrix`] beside the lists, and the word kernel:
+//!   the per-node hot path runs as masked `u64`-word sweeps over matrix
+//!   rows. Chosen iff the word kernel is configured on and the matrix fits
+//!   [`DENSE_WORDS_LIMIT`] (see [`dense_fits`]);
+//! * **lists** — the sorted CSR rows alone, and the scalar kernel's
+//!   per-vertex probes.
+//!
+//! Both walk the identical search tree; only the cost per node differs.
+//!
 //! Reduction rules live in [`reductions`], upper bounds in [`bounds`].
 
 mod bounds;
@@ -39,11 +52,19 @@ use kdc_graph::degeneracy::{self, BucketPeel};
 use kdc_graph::scratch::Marker;
 use std::time::Instant;
 
-/// Budget (in `u64` words) for the adjacency-list path's lazily built
-/// per-vertex neighbour masks: universes with `n · ⌈n/64⌉` beyond this run
-/// the scalar kernel instead (the cache would cost more memory than the
-/// sweeps save). 2^23 words = 64 MiB.
-const LIST_MASK_WORDS_LIMIT: usize = 1 << 23;
+/// Budget (in `u64` words) for the dense bit-matrix: universes with
+/// `n · ⌈n/64⌉` beyond this keep only the sorted lists and run the scalar
+/// kernel (the matrix would cost more memory than the sweeps save).
+/// 2^23 words = 64 MiB, i.e. `n ≤ 23,168`.
+const DENSE_WORDS_LIMIT: usize = 1 << 23;
+
+/// Whether an `n`-vertex universe gets the dense representation under the
+/// word kernel: a nonempty matrix of at most [`DENSE_WORDS_LIMIT`] words.
+fn dense_fits(n: usize) -> bool {
+    n > 0
+        && n.checked_mul(bitset::words_for(n))
+            .is_some_and(|total| total <= DENSE_WORDS_LIMIT)
+}
 
 /// Trail entries; undone in reverse order.
 #[derive(Clone, Copy, Debug)]
@@ -82,10 +103,11 @@ pub(crate) struct Engine {
     /// `adj_dat[adj_off[v] .. adj_off[v + 1]]` is the sorted row of `v`.
     adj_off: Vec<usize>,
     adj_dat: Vec<u32>,
-    /// Optional dense adjacency for `n ≤ matrix_limit`.
+    /// Dense adjacency, present iff the universe runs the word kernel (see
+    /// [`dense_fits`]); `None` selects the list representation.
     matrix: Option<BitMatrix>,
-    /// Parked matrix buffer while the current universe is too large for the
-    /// dense path, so a later small universe can reuse the allocation.
+    /// Parked matrix buffer while the current universe runs on the lists,
+    /// so a later dense universe can reuse the allocation.
     matrix_spare: Option<BitMatrix>,
     /// Alive-candidate membership mask (kept in sync with the partition; used
     /// by bit-parallel intersections).
@@ -95,16 +117,6 @@ pub(crate) struct Engine {
     /// the neighbour sweeps of `remove_cand` intersect adjacency rows
     /// against it instead of probing `pos` per vertex.
     alive_mask: BitSet,
-    /// Words per cached neighbour-mask row on the adjacency-list path
-    /// (`0` = cache disabled: a matrix is present, the word kernel is off,
-    /// or the universe exceeds [`LIST_MASK_WORDS_LIMIT`]).
-    nbr_mask_words: usize,
-    /// Flat `n × nbr_mask_words` storage for the lazily built rows.
-    nbr_mask_data: Vec<u64>,
-    /// Per-vertex build stamp: a row is valid iff its stamp equals
-    /// `nbr_mask_serial` (O(1) whole-cache invalidation on reset).
-    nbr_mask_epoch: Vec<u32>,
-    nbr_mask_serial: u32,
 
     vs: Vec<u32>,
     pos: Vec<usize>,
@@ -189,10 +201,6 @@ impl Engine {
             matrix_spare: None,
             cand_mask: BitSet::new(0),
             alive_mask: BitSet::new(0),
-            nbr_mask_words: 0,
-            nbr_mask_data: Vec::new(),
-            nbr_mask_epoch: Vec::new(),
-            nbr_mask_serial: 0,
             vs: Vec::new(),
             pos: Vec::new(),
             s_end: 0,
@@ -249,7 +257,7 @@ impl Engine {
         self.adj_dat.clear();
         self.adj_dat.extend_from_slice(data);
 
-        if n > 0 && n <= self.config.matrix_limit {
+        if self.config.word_kernel && dense_fits(n) {
             let mut mx = match self.matrix.take().or_else(|| self.matrix_spare.take()) {
                 Some(mut mx) => {
                     mx.reset(n, n);
@@ -269,33 +277,6 @@ impl Engine {
 
         self.cand_mask.reset_full(n);
         self.alive_mask.reset_full(n);
-        // List-path neighbour-mask cache: lazily built rows, invalidated as a
-        // whole by bumping the serial (no O(n · words) clear per reset).
-        let row_words = bitset::words_for(n);
-        self.nbr_mask_words = if self.config.word_kernel
-            && self.matrix.is_none()
-            && n > 0
-            && n.checked_mul(row_words)
-                .is_some_and(|total| total <= LIST_MASK_WORDS_LIMIT)
-        {
-            row_words
-        } else {
-            0
-        };
-        if self.nbr_mask_words > 0 {
-            let need = n * self.nbr_mask_words;
-            if self.nbr_mask_data.len() < need {
-                self.nbr_mask_data.resize(need, 0);
-            }
-            if self.nbr_mask_epoch.len() < n {
-                self.nbr_mask_epoch.resize(n, 0);
-            }
-            self.nbr_mask_serial = self.nbr_mask_serial.wrapping_add(1);
-            if self.nbr_mask_serial == 0 {
-                self.nbr_mask_epoch.fill(0);
-                self.nbr_mask_serial = 1;
-            }
-        }
         self.vs.clear();
         self.vs.extend(0..n as u32);
         self.pos.clear();
@@ -450,95 +431,58 @@ impl Engine {
         }
     }
 
-    // ---- word kernel -------------------------------------------------------
+    // ---- alive-set sweeps --------------------------------------------------
 
-    /// Whether the per-node hot path runs as masked word sweeps: the word
-    /// kernel is configured on and a word-granular adjacency representation
-    /// exists (dense matrix, or the list-path neighbour-mask cache).
-    #[inline]
-    fn word_kernel_active(&self) -> bool {
-        self.config.word_kernel && (self.matrix.is_some() || self.nbr_mask_words > 0)
-    }
-
-    /// Ensures the cached neighbour mask of `v` is built (list path only);
-    /// returns its range in `nbr_mask_data`. Each universe pays the O(words
-    /// + deg) build at most once per vertex per reset.
-    fn ensure_nbr_mask(&mut self, v: u32) -> (usize, usize) {
-        debug_assert!(self.nbr_mask_words > 0);
-        let start = v as usize * self.nbr_mask_words;
-        let end = start + self.nbr_mask_words;
-        if self.nbr_mask_epoch[v as usize] != self.nbr_mask_serial {
-            let (from, to) = self.row_range(v);
-            let row = &mut self.nbr_mask_data[start..end];
-            row.fill(0);
-            for &w in &self.adj_dat[from..to] {
-                row[w as usize / 64] |= 1u64 << (w as usize % 64);
-            }
-            self.nbr_mask_epoch[v as usize] = self.nbr_mask_serial;
-        }
-        (start, end)
-    }
-
-    /// The word-granular adjacency row of `v`: the matrix row when dense,
-    /// the (already built — call [`Engine::ensure_nbr_mask`] first) cached
-    /// neighbour mask otherwise.
-    #[inline]
-    fn word_row(&self, v: u32) -> &[u64] {
-        match &self.matrix {
-            Some(mx) => mx.row(v as usize),
-            None => {
-                debug_assert_eq!(self.nbr_mask_epoch[v as usize], self.nbr_mask_serial);
-                let start = v as usize * self.nbr_mask_words;
-                &self.nbr_mask_data[start..start + self.nbr_mask_words]
-            }
-        }
-    }
-
-    /// Word sweep behind `add_to_s`/its undo: adds `delta` (±1 as a wrapping
-    /// `u32`) to `non_nbr_s[w]` for every alive non-neighbour `w ≠ v` of `v`.
+    /// Behind `add_to_s`/its undo: adds `delta` (±1 as a wrapping `u32`) to
+    /// `non_nbr_s[w]` for every alive non-neighbour `w ≠ v` of `v` — a word
+    /// sweep of the matrix row on the dense representation, a mark-and-scan
+    /// of the alive prefix on the lists.
     // kdc-lint: hot-path
-    fn sweep_alive_non_neighbors(&mut self, v: u32, delta: u32) {
-        if self.matrix.is_none() {
-            self.ensure_nbr_mask(v);
+    fn bump_alive_non_neighbors(&mut self, v: u32, delta: u32) {
+        if let Some(mx) = &self.matrix {
+            // Disjoint field borrows: the row aliases only the matrix.
+            let non_nbr_s = &mut self.non_nbr_s;
+            for_each_bit_and_not(self.alive_mask.words(), mx.row(v as usize), |w| {
+                non_nbr_s[w] = non_nbr_s[w].wrapping_add(delta);
+            });
+            // v is alive and not its own neighbour, so the sweep touched it.
+            let own = &mut self.non_nbr_s[v as usize];
+            *own = own.wrapping_sub(delta);
+            return;
         }
-        // Disjoint field borrows: the row aliases only the adjacency storage.
-        let row: &[u64] = match &self.matrix {
-            Some(mx) => mx.row(v as usize),
-            None => {
-                let start = v as usize * self.nbr_mask_words;
-                &self.nbr_mask_data[start..start + self.nbr_mask_words]
+        self.mark.reset();
+        let (start, end) = self.row_range(v);
+        for i in start..end {
+            self.mark.mark(self.adj_dat[i] as usize);
+        }
+        for i in 0..self.cand_end {
+            let w = self.vs[i] as usize;
+            if w != v as usize && !self.mark.is_marked(w) {
+                self.non_nbr_s[w] = self.non_nbr_s[w].wrapping_add(delta);
             }
-        };
-        let non_nbr_s = &mut self.non_nbr_s;
-        for_each_bit_and_not(self.alive_mask.words(), row, |w| {
-            non_nbr_s[w] = non_nbr_s[w].wrapping_add(delta);
-        });
-        // v is alive and not its own neighbour, so the sweep touched it;
-        // the scalar loop excludes it.
-        let own = &mut self.non_nbr_s[v as usize];
-        *own = own.wrapping_sub(delta);
+        }
     }
 
-    /// Word sweep behind `remove_cand`/its undo: adds `delta` (±1 as a
-    /// wrapping `u32`) to `deg[w]` for every alive neighbour `w` of `v`.
-    /// `alive_mask` must not contain vertices the scalar predicate
-    /// (`pos[w] < cand_end`) would exclude — both call sites hold that.
+    /// Behind `remove_cand`/its undo: adds `delta` (±1 as a wrapping `u32`)
+    /// to `deg[w]` for every alive neighbour `w` of `v`. The dense sweep
+    /// reads `alive_mask`, which must not contain vertices the list
+    /// predicate (`pos[w] < cand_end`) excludes — both call sites hold that.
     // kdc-lint: hot-path
-    fn sweep_alive_neighbors(&mut self, v: u32, delta: u32) {
-        if self.matrix.is_none() {
-            self.ensure_nbr_mask(v);
+    fn bump_alive_neighbors(&mut self, v: u32, delta: u32) {
+        if let Some(mx) = &self.matrix {
+            let deg = &mut self.deg;
+            for_each_bit_and(self.alive_mask.words(), mx.row(v as usize), |w| {
+                deg[w] = deg[w].wrapping_add(delta);
+            });
+            return;
         }
-        let row: &[u64] = match &self.matrix {
-            Some(mx) => mx.row(v as usize),
-            None => {
-                let start = v as usize * self.nbr_mask_words;
-                &self.nbr_mask_data[start..start + self.nbr_mask_words]
+        let (start, end) = self.row_range(v);
+        for i in start..end {
+            let w = self.adj_dat[i] as usize;
+            if self.pos[w] < self.cand_end {
+                self.deg[w] = self.deg[w].wrapping_add(delta);
             }
-        };
-        let deg = &mut self.deg;
-        for_each_bit_and(self.alive_mask.words(), row, |w| {
-            deg[w] = deg[w].wrapping_add(delta);
-        });
+        }
     }
 
     // ---- trailed operations ------------------------------------------------
@@ -560,22 +504,7 @@ impl Engine {
         self.s_end += 1;
         self.missing_in_s += self.non_nbr_s[v as usize] as usize;
         // Every alive non-neighbour of v gains one S-non-neighbour.
-        if self.word_kernel_active() {
-            self.sweep_alive_non_neighbors(v, 1);
-        } else {
-            self.mark.reset();
-            let (start, end) = self.row_range(v);
-            for i in start..end {
-                let w = self.adj_dat[i];
-                self.mark.mark(w as usize);
-            }
-            for i in 0..self.cand_end {
-                let w = self.vs[i];
-                if w != v && !self.mark.is_marked(w as usize) {
-                    self.non_nbr_s[w as usize] += 1;
-                }
-            }
-        }
+        self.bump_alive_non_neighbors(v, 1);
         self.cand_mask.remove(v as usize);
         self.trail.push(Op::AddS(v));
     }
@@ -589,19 +518,9 @@ impl Engine {
         self.swap_vs(p, self.cand_end - 1);
         self.cand_end -= 1;
         self.edges_alive -= self.deg[v as usize] as usize;
-        if self.word_kernel_active() {
-            // `alive_mask` still contains v here, but v ∉ row(v), so the
-            // sweep set equals the scalar predicate's.
-            self.sweep_alive_neighbors(v, 1u32.wrapping_neg());
-        } else {
-            let (start, end) = self.row_range(v);
-            for i in start..end {
-                let w = self.adj_dat[i];
-                if self.pos[w as usize] < self.cand_end {
-                    self.deg[w as usize] -= 1;
-                }
-            }
-        }
+        // `alive_mask` still contains v here, but v ∉ row(v), so the dense
+        // sweep set equals the list predicate's.
+        self.bump_alive_neighbors(v, 1u32.wrapping_neg());
         self.cand_mask.remove(v as usize);
         self.alive_mask.remove(v as usize);
         self.trail.push(Op::RemoveCand(v));
@@ -613,41 +532,16 @@ impl Engine {
             match self.trail.pop().expect("trail underflow") {
                 Op::AddS(v) => {
                     debug_assert_eq!(self.pos[v as usize], self.s_end - 1);
-                    if self.word_kernel_active() {
-                        self.sweep_alive_non_neighbors(v, 1u32.wrapping_neg());
-                    } else {
-                        self.mark.reset();
-                        let (start, end) = self.row_range(v);
-                        for i in start..end {
-                            let w = self.adj_dat[i];
-                            self.mark.mark(w as usize);
-                        }
-                        for i in 0..self.cand_end {
-                            let w = self.vs[i];
-                            if w != v && !self.mark.is_marked(w as usize) {
-                                self.non_nbr_s[w as usize] -= 1;
-                            }
-                        }
-                    }
+                    self.bump_alive_non_neighbors(v, 1u32.wrapping_neg());
                     self.missing_in_s -= self.non_nbr_s[v as usize] as usize;
                     self.s_end -= 1;
                     self.cand_mask.insert(v as usize);
                 }
                 Op::RemoveCand(v) => {
                     debug_assert_eq!(self.pos[v as usize], self.cand_end);
-                    if self.word_kernel_active() {
-                        // v is not yet back in `alive_mask`, matching the
-                        // scalar predicate (pos[v] == cand_end).
-                        self.sweep_alive_neighbors(v, 1);
-                    } else {
-                        let (start, end) = self.row_range(v);
-                        for i in start..end {
-                            let w = self.adj_dat[i];
-                            if self.pos[w as usize] < self.cand_end {
-                                self.deg[w as usize] += 1;
-                            }
-                        }
-                    }
+                    // v is not yet back in `alive_mask`, matching the list
+                    // predicate (pos[v] == cand_end).
+                    self.bump_alive_neighbors(v, 1);
                     self.edges_alive += self.deg[v as usize] as usize;
                     self.cand_end += 1;
                     self.cand_mask.insert(v as usize);
@@ -797,25 +691,20 @@ impl Engine {
     /// graph (needed in enumeration mode because a branching-removed vertex
     /// may still extend it; such supersets are found in sibling subtrees, so
     /// non-maximal leaves are simply skipped).
-    fn alive_is_globally_maximal(&mut self) -> bool {
+    fn alive_is_globally_maximal(&self) -> bool {
         let alive = self.cand_end;
         let missing = alive * alive.saturating_sub(1) / 2 - self.edges_alive;
         debug_assert!(missing <= self.k);
-        let word = self.word_kernel_active();
         for u in 0..self.n as u32 {
             if self.alive(u) {
                 continue;
             }
-            // |N(u) ∩ alive| as a masked popcount on the word paths; the
+            // |N(u) ∩ alive| as a masked popcount on the dense path; the
             // removed vertex's `deg` entry is frozen at removal time, so the
             // live count cannot be read off the degree array.
-            let nbrs_in = if word {
-                if self.matrix.is_none() {
-                    self.ensure_nbr_mask(u);
-                }
-                popcount_and(self.word_row(u), self.alive_mask.words())
-            } else {
-                self.nbrs(u).iter().filter(|&&w| self.alive(w)).count()
+            let nbrs_in = match &self.matrix {
+                Some(mx) => popcount_and(mx.row(u as usize), self.alive_mask.words()),
+                None => self.nbrs(u).iter().filter(|&&w| self.alive(w)).count(),
             };
             if missing + (alive - nbrs_in) <= self.k {
                 return false;
@@ -893,6 +782,13 @@ impl Engine {
     #[cfg(test)]
     pub(crate) fn add_to_s_for_test(&mut self, v: u32) {
         self.add_to_s(v);
+    }
+
+    /// Test hook: whether the universe has the dense representation, whose
+    /// per-node hot path runs as masked word sweeps over matrix rows.
+    #[cfg(test)]
+    pub(crate) fn word_kernel_active(&self) -> bool {
+        self.matrix.is_some()
     }
 
     /// Test hook: `|Ē(S)|`.
@@ -1059,9 +955,12 @@ mod tests {
     fn matrix_and_list_paths_agree() {
         let g = kdc_graph::gen::gnp(30, 0.35, &mut kdc_graph::gen::seeded_rng(17));
         for k in [0usize, 1, 3] {
-            let mut cfg_list = SolverConfig::kdc_t();
-            cfg_list.matrix_limit = 0; // force adjacency-list path
+            let cfg_list = SolverConfig::kdc_t().with_scalar_kernel();
             let mut e1 = primed(&g, k, cfg_list, 0);
+            assert!(
+                !e1.word_kernel_active(),
+                "the scalar kernel runs on the lists"
+            );
             let mut e2 = primed(&g, k, SolverConfig::kdc_t(), 0);
             assert!(e1.run() && e2.run());
             assert_eq!(e1.best().len(), e2.best().len(), "k = {k}");
@@ -1071,18 +970,36 @@ mod tests {
     }
 
     #[test]
+    fn dense_budget_covers_exactly_23168_vertices() {
+        // 23,168 · ⌈23,168/64⌉ = 8,386,816 words ≤ 2^23 < 23,169 · 363.
+        assert!(dense_fits(1));
+        assert!(dense_fits(23_168));
+        assert!(!dense_fits(23_169));
+        assert!(!dense_fits(0), "an empty universe needs no matrix");
+    }
+
+    #[test]
     fn reprimed_engine_matches_a_fresh_one() {
         // The solver's restarts and the decomposition arena re-prime one
-        // engine; growing, shrinking and crossing the matrix limit must
-        // leave no trace of earlier universes in the answer or the tree.
+        // engine; growing, shrinking and crossing between the dense and the
+        // list representation must leave no trace of earlier universes in
+        // the answer or the tree. The 23,169-vertex universe is one past the
+        // dense budget, so it runs on the lists without building a matrix;
+        // edgeless, it closes at the root node.
         let mut rng = kdc_graph::gen::seeded_rng(2718);
-        let mut cfg = SolverConfig::kdc();
-        cfg.matrix_limit = 32;
+        let cfg = SolverConfig::kdc();
         let mut reused = Engine::hollow(2, cfg.clone());
-        for n in [40usize, 12, 30, 48, 20] {
-            let g = kdc_graph::gen::gnp(n, 0.4, &mut rng);
+        for (n, p) in [
+            (40usize, 0.4),
+            (12, 0.4),
+            (23_169, 0.0),
+            (30, 0.4),
+            (48, 0.4),
+        ] {
+            let g = kdc_graph::gen::gnp(n, p, &mut rng);
             let (offsets, data) = g.csr();
             reused.reset(offsets, data, 3);
+            assert_eq!(reused.word_kernel_active(), dense_fits(n), "n = {n}");
             let mut fresh = primed(&g, 2, cfg.clone(), 3);
             assert_eq!(reused.run(), fresh.run(), "n = {n}");
             assert_eq!(reused.best(), fresh.best(), "n = {n}");

@@ -169,12 +169,12 @@ impl Engine {
         removed
     }
 
-    /// Prepares the scratch marks needed by [`Engine::rr4_pair_bound`] when
-    /// no bit-matrix is available: marks `u`'s candidate neighbours. On the
-    /// word kernel the pair bound intersects cached neighbour masks instead,
-    /// so there is nothing to prepare.
+    /// Prepares the scratch marks needed by [`Engine::rr4_pair_bound`] on
+    /// the list representation: marks `u`'s candidate neighbours. On the
+    /// dense one the pair bound intersects matrix rows instead, so there is
+    /// nothing to prepare.
     pub(crate) fn prepare_rr4_marks(&mut self, u: u32) {
-        if self.matrix.is_some() || self.word_kernel_active() {
+        if self.matrix.is_some() {
             return;
         }
         self.mark.reset();
@@ -192,11 +192,11 @@ impl Engine {
     /// common neighbours `cn`, exclusive neighbours `xn` and common
     /// non-neighbours `cnon` of `u` and `v` in `V(g) \ (S ∪ v)`.
     ///
-    /// Requires [`Engine::prepare_rr4_marks`]`(u)` beforehand on the scalar
-    /// adjacency-list path; membership is re-checked live (via `is_cand`
-    /// there, via `cand_mask` on the word paths), so interleaved candidate
-    /// removals stay consistent.
-    pub(crate) fn rr4_pair_bound(&mut self, u: u32, v: u32) -> usize {
+    /// Requires [`Engine::prepare_rr4_marks`]`(u)` beforehand on the list
+    /// representation; membership is re-checked live (via `is_cand` there,
+    /// via `cand_mask` on the dense one), so interleaved candidate removals
+    /// stay consistent.
+    pub(crate) fn rr4_pair_bound(&self, u: u32, v: u32) -> usize {
         let s = self.s_end;
         let nbrs_in_s_u = (s - 1) - self.non_nbr_s[u as usize] as usize;
         let missing_sp = self.missing_in_s + self.non_nbr_s[v as usize] as usize;
@@ -211,23 +211,15 @@ impl Engine {
         let nbrs_in_s_v = s - self.non_nbr_s[v as usize] as usize;
         let b_size = self.deg[v as usize] as usize - nbrs_in_s_v;
 
-        // v ∉ row(v) and u ∉ cand_mask, so the masked intersections are
+        // v ∉ row(v) and u ∉ cand_mask, so the masked intersection is
         // exactly N(u) ∩ N(v) ∩ (candidates \ {v}).
-        let cn = if let Some(mx) = &self.matrix {
-            mx.row_row_mask_intersection_len(u as usize, v as usize, &self.cand_mask)
-        } else if self.word_kernel_active() {
-            let (us, ue) = self.ensure_nbr_mask(u);
-            let (vs, ve) = self.ensure_nbr_mask(v);
-            kdc_graph::bitset::popcount_and3(
-                &self.nbr_mask_data[us..ue],
-                &self.nbr_mask_data[vs..ve],
-                self.cand_mask.words(),
-            )
-        } else {
-            self.nbrs(v)
+        let cn = match &self.matrix {
+            Some(mx) => mx.row_row_mask_intersection_len(u as usize, v as usize, &self.cand_mask),
+            None => self
+                .nbrs(v)
                 .iter()
                 .filter(|&&w| self.is_cand(w) && self.mark.is_marked(w as usize))
-                .count()
+                .count(),
         };
 
         let total_sp = (self.cand_end - self.s_end) - 1; // |S̄'|

@@ -7,26 +7,31 @@ use crate::solver::Solver;
 use kdc_graph::{gen, Graph};
 
 /// Replays an interleaved add/remove/undo script on two engines over the
-/// same universe — the word kernel and the scalar kernel, both forced onto
-/// the adjacency-list path — and asserts after every operation that the
+/// same universe — the word kernel on the dense matrix and the scalar
+/// kernel on the sorted lists — and asserts after every operation that the
 /// incrementally maintained quantities agree with each other *and* with a
 /// from-scratch recount. This pins the contract that candidate removal
 /// decrements degrees incrementally on the list path (mirroring the matrix
 /// path) instead of re-deriving them.
 #[test]
-fn list_path_word_and_scalar_kernels_maintain_identical_state() {
+fn word_and_scalar_kernels_maintain_identical_state() {
     use crate::engine::{primed, Engine};
     let mut rng = gen::seeded_rng(424);
     for trial in 0..6 {
         let g = gen::gnp(40, 0.35, &mut rng);
-        let mut word_cfg = SolverConfig::kdc_t();
-        word_cfg.matrix_limit = 0; // force the list path on both
+        let word_cfg = SolverConfig::kdc_t();
         let scalar_cfg = word_cfg.clone().with_scalar_kernel();
         let k = 3usize;
         let mut ew = primed(&g, k, word_cfg, 0);
         let mut es = primed(&g, k, scalar_cfg, 0);
-        assert!(ew.word_kernel_active(), "list path must use cached masks");
-        assert!(!es.word_kernel_active());
+        assert!(
+            ew.word_kernel_active(),
+            "word kernel must run on the matrix"
+        );
+        assert!(
+            !es.word_kernel_active(),
+            "scalar kernel must run on the lists"
+        );
 
         let assert_state = |ew: &Engine, es: &Engine, step: usize| {
             assert_eq!(ew.deg, es.deg, "trial {trial} step {step}: deg");

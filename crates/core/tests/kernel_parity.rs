@@ -1,12 +1,12 @@
 //! Release-mode parity suite for the word-parallel engine kernel and the
 //! KD-Club colouring bound.
 //!
-//! * **Word vs scalar kernel**: the masked-word hot path must be
-//!   *bit-identical* to the per-vertex probe path — same witness, same
-//!   status and the same number of explored branch-and-bound nodes (the
-//!   kernel changes how state is maintained, never which tree is walked) —
-//!   across `matrix_limit ∈ {0, large}`, `k ∈ {0..3}` and every branch
-//!   policy.
+//! * **Word vs scalar kernel**: the masked-word hot path over the dense
+//!   bit-matrix must be *bit-identical* to the per-vertex probe path over
+//!   the sorted lists — same witness, same status and the same number of
+//!   explored branch-and-bound nodes (the representation changes how state
+//!   is maintained, never which tree is walked) — across `k ∈ {0..3}` and
+//!   every branch policy.
 //! * **KD-Club vs legacy bound**: enabling the re-colouring bound must keep
 //!   the optimum and, under a fixed branch policy, the exact witness (it
 //!   only prunes subtrees that contain no improving solution), while never
@@ -25,10 +25,6 @@ const POLICIES: [BranchPolicy; 4] = [
     BranchPolicy::MinDegree,
     BranchPolicy::MaxDegreeAny,
 ];
-
-/// `matrix_limit` regimes: 0 forces the adjacency-list path (cached
-/// neighbour masks), "large" keeps the dense bit-matrix path.
-const MATRIX_LIMITS: [usize; 2] = [0, 1 << 14];
 
 /// Every named preset must answer identical optimum sizes and statuses on
 /// both kernels, for k ∈ {0..3} — the preset-level face of the parity
@@ -72,24 +68,21 @@ proptest! {
         let mut rng = gen::seeded_rng(seed);
         let g = gen::gnp(n, p_percent as f64 / 100.0, &mut rng);
         for policy in POLICIES {
-            for matrix_limit in MATRIX_LIMITS {
-                let mut word_cfg = SolverConfig::kdc();
-                word_cfg.branch_policy = policy;
-                word_cfg.matrix_limit = matrix_limit;
-                let scalar_cfg = word_cfg.clone().with_scalar_kernel();
-                let word = Solver::new(&g, k, word_cfg).solve();
-                let scalar = Solver::new(&g, k, scalar_cfg).solve();
-                prop_assert_eq!(
-                    &word.vertices, &scalar.vertices,
-                    "witness parity ({:?}, matrix_limit={}, k={})", policy, matrix_limit, k
-                );
-                prop_assert_eq!(word.status, scalar.status);
-                prop_assert_eq!(
-                    word.stats.nodes, scalar.stats.nodes,
-                    "tree parity ({:?}, matrix_limit={}, k={})", policy, matrix_limit, k
-                );
-                prop_assert!(g.is_k_defective_clique(&word.vertices, k));
-            }
+            let mut word_cfg = SolverConfig::kdc();
+            word_cfg.branch_policy = policy;
+            let scalar_cfg = word_cfg.clone().with_scalar_kernel();
+            let word = Solver::new(&g, k, word_cfg).solve();
+            let scalar = Solver::new(&g, k, scalar_cfg).solve();
+            prop_assert_eq!(
+                &word.vertices, &scalar.vertices,
+                "witness parity ({:?}, k={})", policy, k
+            );
+            prop_assert_eq!(word.status, scalar.status);
+            prop_assert_eq!(
+                word.stats.nodes, scalar.stats.nodes,
+                "tree parity ({:?}, k={})", policy, k
+            );
+            prop_assert!(g.is_k_defective_clique(&word.vertices, k));
         }
     }
 
@@ -102,15 +95,12 @@ proptest! {
         // trees stress the raw add/remove/undo sweeps hardest.
         let mut rng = gen::seeded_rng(seed);
         let g = gen::gnp(20, 0.5, &mut rng);
-        for matrix_limit in MATRIX_LIMITS {
-            let mut word_cfg = SolverConfig::kdc_t();
-            word_cfg.matrix_limit = matrix_limit;
-            let scalar_cfg = word_cfg.clone().with_scalar_kernel();
-            let word = Solver::new(&g, k, word_cfg).solve();
-            let scalar = Solver::new(&g, k, scalar_cfg).solve();
-            prop_assert_eq!(&word.vertices, &scalar.vertices);
-            prop_assert_eq!(word.stats.nodes, scalar.stats.nodes);
-        }
+        let word_cfg = SolverConfig::kdc_t();
+        let scalar_cfg = word_cfg.clone().with_scalar_kernel();
+        let word = Solver::new(&g, k, word_cfg).solve();
+        let scalar = Solver::new(&g, k, scalar_cfg).solve();
+        prop_assert_eq!(&word.vertices, &scalar.vertices);
+        prop_assert_eq!(word.stats.nodes, scalar.stats.nodes);
     }
 
     #[test]
@@ -123,36 +113,33 @@ proptest! {
         let mut rng = gen::seeded_rng(seed);
         let g = gen::gnp(n, p_percent as f64 / 100.0, &mut rng);
         for policy in POLICIES {
-            for matrix_limit in MATRIX_LIMITS {
-                let mut legacy_cfg = SolverConfig::kdc();
-                legacy_cfg.branch_policy = policy;
-                legacy_cfg.matrix_limit = matrix_limit;
-                let mut club_cfg = legacy_cfg.clone();
-                club_cfg.enable_kdclub = true;
-                let club_scalar_cfg = club_cfg.clone().with_scalar_kernel();
+            let mut legacy_cfg = SolverConfig::kdc();
+            legacy_cfg.branch_policy = policy;
+            let mut club_cfg = legacy_cfg.clone();
+            club_cfg.enable_kdclub = true;
+            let club_scalar_cfg = club_cfg.clone().with_scalar_kernel();
 
-                let legacy = Solver::new(&g, k, legacy_cfg).solve();
-                let club = Solver::new(&g, k, club_cfg).solve();
-                prop_assert_eq!(club.status, legacy.status);
-                // A sound extra bound only prunes subtrees without improving
-                // solutions, so under a fixed branch policy the incumbent
-                // sequence — hence the final witness — is unchanged.
-                prop_assert_eq!(
-                    &club.vertices, &legacy.vertices,
-                    "witness parity ({:?}, matrix_limit={}, k={})", policy, matrix_limit, k
-                );
-                prop_assert!(
-                    club.stats.nodes <= legacy.stats.nodes,
-                    "KD-Club grew the tree: {} > {} ({:?}, matrix_limit={}, k={})",
-                    club.stats.nodes, legacy.stats.nodes, policy, matrix_limit, k
-                );
+            let legacy = Solver::new(&g, k, legacy_cfg).solve();
+            let club = Solver::new(&g, k, club_cfg).solve();
+            prop_assert_eq!(club.status, legacy.status);
+            // A sound extra bound only prunes subtrees without improving
+            // solutions, so under a fixed branch policy the incumbent
+            // sequence — hence the final witness — is unchanged.
+            prop_assert_eq!(
+                &club.vertices, &legacy.vertices,
+                "witness parity ({:?}, k={})", policy, k
+            );
+            prop_assert!(
+                club.stats.nodes <= legacy.stats.nodes,
+                "KD-Club grew the tree: {} > {} ({:?}, k={})",
+                club.stats.nodes, legacy.stats.nodes, policy, k
+            );
 
-                // The bound itself is kernel-independent: scalar × kdclub
-                // walks the identical tree.
-                let club_scalar = Solver::new(&g, k, club_scalar_cfg).solve();
-                prop_assert_eq!(&club_scalar.vertices, &club.vertices);
-                prop_assert_eq!(club_scalar.stats.nodes, club.stats.nodes);
-            }
+            // The bound itself is kernel-independent: scalar × kdclub
+            // walks the identical tree.
+            let club_scalar = Solver::new(&g, k, club_scalar_cfg).solve();
+            prop_assert_eq!(&club_scalar.vertices, &club.vertices);
+            prop_assert_eq!(club_scalar.stats.nodes, club.stats.nodes);
         }
     }
 }

@@ -6,8 +6,8 @@
 //! operation with iteration or counting, so no intermediate set is
 //! materialised and zero words cost one comparison each — the
 //! branch-and-bound engine's hot sweeps run on [`for_each_bit_and`],
-//! [`for_each_bit_and_not`], [`popcount_and`] and [`popcount_and3`];
-//! [`popcount_and_not`] completes the family for symmetry.
+//! [`for_each_bit_and_not`] and [`popcount_and`]; [`popcount_and_not`]
+//! completes the family for symmetry.
 
 /// Number of bits per storage word.
 const WORD_BITS: usize = 64;
@@ -282,19 +282,6 @@ pub fn popcount_and_not(a: &[u64], b: &[u64]) -> usize {
     a.iter()
         .zip(b)
         .map(|(x, y)| (x & !y).count_ones() as usize)
-        .sum()
-}
-
-/// `|a ∩ b ∩ c|` over raw word slices (e.g. two adjacency rows against a
-/// candidate mask: the common-neighbour count of RR4).
-#[inline]
-pub fn popcount_and3(a: &[u64], b: &[u64], c: &[u64]) -> usize {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), c.len());
-    a.iter()
-        .zip(b)
-        .zip(c)
-        .map(|((x, y), z)| (x & y & z).count_ones() as usize)
         .sum()
 }
 
@@ -596,11 +583,6 @@ mod tests {
         assert_eq!(diff, vec![1, 64, 130]);
         assert_eq!(popcount_and(a.words(), b.words()), 3);
         assert_eq!(popcount_and_not(a.words(), b.words()), 3);
-        let c = BitSet::full(a.capacity());
-        assert_eq!(popcount_and3(a.words(), b.words(), c.words()), 3);
-        let mut none = BitSet::new(a.capacity());
-        none.insert(2);
-        assert_eq!(popcount_and3(a.words(), b.words(), none.words()), 1);
     }
 
     #[test]

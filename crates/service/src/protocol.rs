@@ -275,10 +275,11 @@ fn parse_k_range(raw: &str) -> Result<(usize, usize), String> {
     if hi < lo {
         return Err(format!("empty k range {raw} (upper bound below lower)"));
     }
-    if hi - lo + 1 > MAX_MSOLVE_SWEEP {
+    // `hi - lo + 1` overflows for `0..usize::MAX`, so compare the gap.
+    if hi - lo >= MAX_MSOLVE_SWEEP {
         return Err(format!(
             "k range {raw} spans {} values (max {MAX_MSOLVE_SWEEP})",
-            hi - lo + 1
+            (hi - lo) as u128 + 1
         ));
     }
     Ok((lo, hi))
@@ -629,6 +630,8 @@ mod tests {
         // The widest allowed sweep parses; one wider does not.
         assert!(parse_command(&format!("MSOLVE g1 k=0..{}", MAX_MSOLVE_SWEEP - 1)).is_ok());
         assert!(parse_command(&format!("MSOLVE g1 k=0..{MAX_MSOLVE_SWEEP}")).is_err());
+        let full = parse_command(&format!("MSOLVE g1 k=0..{}", usize::MAX)).unwrap_err();
+        assert!(full.contains("spans 18446744073709551616 values"), "{full}");
     }
 
     #[test]

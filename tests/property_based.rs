@@ -46,10 +46,10 @@ proptest! {
     }
 
     #[test]
-    fn matrix_limit_does_not_change_answers(g in arb_graph(12), k in 0usize..4) {
+    fn scalar_kernel_does_not_change_answers(g in arb_graph(12), k in 0usize..4) {
         let with_matrix = Solver::new(&g, k, SolverConfig::kdc()).solve();
-        let mut cfg = SolverConfig::kdc();
-        cfg.matrix_limit = 0; // force the adjacency-list paths
+        // The scalar kernel runs on the sorted-list representation.
+        let cfg = SolverConfig::kdc().with_scalar_kernel();
         let without = Solver::new(&g, k, cfg).solve();
         prop_assert_eq!(with_matrix.size(), without.size());
     }
