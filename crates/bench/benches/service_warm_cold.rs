@@ -40,15 +40,12 @@ fn graph_file() -> PathBuf {
 }
 
 fn solve_spec(cache: &GraphCache, name: &str) -> JobSpec {
-    JobSpec::Solve {
-        entry: cache.get(name).expect("graph cached"),
-        k: K,
-        preset: "kdc".to_string(),
-        limit: Some(Duration::from_secs(60)),
-        nodes: None,
-        threads: 1,
-        observer: None,
-        trace: None,
+    JobSpec {
+        budget: Budget::default().with_time_limit(Duration::from_secs(60)),
+        ..JobSpec::new(
+            cache.get(name).expect("graph cached"),
+            Query::Solve { k: K },
+        )
     }
 }
 

@@ -2,21 +2,22 @@
 //!
 //! Connection threads [`JobQueue::submit`] work and block in
 //! [`JobQueue::wait`]; a fixed set of worker threads pops jobs FIFO and runs
-//! them through the resident [`kdc_api::Session`] of the cached graph — the
-//! same typed query surface the CLI and embedders use, so the daemon serves
-//! exactly the measured path. All coordination is one `Mutex` around the
-//! queue state plus two `Condvar`s (`work_ready` wakes idle workers,
-//! `job_done` wakes waiters), so the pool is std-only.
+//! them through the resident [`kdc_api::Session`] of the cached graph. A job
+//! is one typed request: the same [`Query`], [`Options`] and [`Budget`] the
+//! CLI, the benches and embedders pass, so the daemon serves exactly the
+//! measured path and a new verb needs no new job shape. All coordination is
+//! one `Mutex` around the queue state plus two `Condvar`s (`work_ready`
+//! wakes idle workers, `job_done` wakes waiters), so the pool is std-only.
 //!
-//! Cancellation is cooperative: every job owns a [`CancelFlag`] that is
-//! threaded into the session budget, and `CANCEL <id>` simply raises it —
-//! the branch-and-bound engine notices at its next node. Per-job deadlines
-//! and node limits ride the same [`kdc_api::Budget`].
+//! Cancellation is cooperative: the queue owns every job's [`CancelFlag`]
+//! and installs it into the job's budget when a worker runs it, and
+//! `CANCEL <id>` simply raises it — the branch-and-bound engine notices at
+//! its next node. Per-job deadlines and node limits ride the same budget.
 
 use crate::cache::GraphEntry;
 use crate::sync::{rank, TrackedMutex};
 use kdc::{CancelFlag, Status};
-use kdc_api::{BatchOutcome, Budget, Observer, Options, Outcome, Query, SubQuery};
+use kdc_api::{BatchOutcome, Budget, Observer, Options, Outcome, Query};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
@@ -32,116 +33,64 @@ impl std::fmt::Debug for JobObserver {
     }
 }
 
-/// What a job should run.
+/// What a job should run: one typed query on one cached graph. Every verb
+/// (`SOLVE`, `MSOLVE`, `ENUMERATE`, `COUNT`) is a [`Query`] here, so the
+/// request keeps one shape from the protocol edge to the session. The
+/// budget's cancel flag is ignored: the queue owns each job's flag and
+/// installs it when a worker runs the job.
 #[derive(Clone, Debug)]
-pub enum JobSpec {
-    /// An exact maximum k-defective clique solve.
-    Solve {
-        /// Cached graph to solve on.
-        entry: Arc<GraphEntry>,
-        /// The k of the k-defective clique.
-        k: usize,
-        /// Preset name (`"kdc"`, `"kdc_t"`, `"kdclub"`, `"kdbb"`, `"madec"`).
-        preset: String,
-        /// Per-job wall-clock deadline.
-        limit: Option<Duration>,
-        /// Per-job branch-and-bound node limit.
-        nodes: Option<u64>,
-        /// 1 = sequential solver, otherwise parallel ego decomposition
-        /// (0 = all cores).
-        threads: usize,
-        /// Event stream for `SOLVE verbose=1` connections.
-        observer: Option<JobObserver>,
-        /// Phase-span recorder for the `TRACE <id>` verb and the slow-query
-        /// log; the queue keeps a clone on the job record.
-        trace: Option<kdc_obs::Tracer>,
-    },
-    /// A batched k-sweep (`MSOLVE`): one job answering `k_lo..=k_hi` as a
-    /// planned [`kdc_api::BatchPlan`] sweep with shared seeds/bounds. One
-    /// `CANCEL` aborts the whole sweep; a draining shutdown lets all of it
-    /// finish.
-    Batch {
-        /// Cached graph to sweep on.
-        entry: Arc<GraphEntry>,
-        /// First k of the inclusive sweep.
-        k_lo: usize,
-        /// Last k of the inclusive sweep.
-        k_hi: usize,
-        /// When set, each sub-query enumerates a top-`r` pool.
-        r: Option<usize>,
-        /// Preset name shared by every sub-query.
-        preset: String,
-        /// Batch-wide wall-clock deadline.
-        limit: Option<Duration>,
-        /// Per-sub-query branch-and-bound node limit.
-        nodes: Option<u64>,
-        /// Solver threads per sub-solve (same semantics as `Solve`).
-        threads: usize,
-        /// Event stream carrying the per-sub-query
-        /// [`kdc_api::Event::SubDone`] completions (`RESULT` lines).
-        observer: Option<JobObserver>,
-        /// Phase-span recorder, as for `Solve`.
-        trace: Option<kdc_obs::Tracer>,
-    },
-    /// Top-r maximal k-defective clique enumeration.
-    Enumerate {
-        /// Cached graph to enumerate on.
-        entry: Arc<GraphEntry>,
-        /// The k of the k-defective clique.
-        k: usize,
-        /// Pool size r.
-        top: usize,
-    },
-    /// Exact per-size counting of k-defective cliques.
-    Count {
-        /// Cached graph to count on.
-        entry: Arc<GraphEntry>,
-        /// The k of the k-defective clique.
-        k: usize,
-        /// Smallest size to count.
-        min_size: usize,
-    },
+pub struct JobSpec {
+    /// Cached graph to run on.
+    pub entry: Arc<GraphEntry>,
+    /// The query; a [`Query::Batch`] finishes as [`JobOutcome::Batch`],
+    /// every other query as [`JobOutcome::Done`]. A batch is one job: one
+    /// `CANCEL` aborts the whole sweep, and a draining shutdown lets all of
+    /// it finish.
+    pub query: Query,
+    /// Preset, validated when the spec is built.
+    pub options: Options,
+    /// Deadline, node limit and solver threads.
+    pub budget: Budget,
+    /// Event stream for `SOLVE verbose=1` and `MSOLVE` `RESULT` lines.
+    pub observer: Option<JobObserver>,
+    /// Phase-span recorder for the `TRACE <id>` verb and the slow-query
+    /// log; the queue keeps a clone on the job record.
+    pub trace: Option<kdc_obs::Tracer>,
 }
 
 impl JobSpec {
-    /// The job's tracer, if one was attached (`Solve`/`Batch` only).
-    fn trace(&self) -> Option<kdc_obs::Tracer> {
-        match self {
-            JobSpec::Solve { trace, .. } | JobSpec::Batch { trace, .. } => trace.clone(),
-            _ => None,
+    /// `query` on `entry` under the default preset and an unlimited,
+    /// sequential budget, with no observer and no tracer.
+    pub fn new(entry: Arc<GraphEntry>, query: Query) -> Self {
+        JobSpec {
+            entry,
+            query,
+            options: Options::default(),
+            budget: Budget::default(),
+            observer: None,
+            trace: None,
         }
     }
 
     /// Whether the job carries its own deadline or node budget. Jobs that
     /// don't are the watchdog's prey: nothing else bounds them.
     fn has_deadline(&self) -> bool {
-        match self {
-            JobSpec::Solve { limit, nodes, .. } | JobSpec::Batch { limit, nodes, .. } => {
-                limit.is_some() || nodes.is_some()
-            }
-            JobSpec::Enumerate { .. } | JobSpec::Count { .. } => false,
-        }
+        self.budget.time_limit.is_some() || self.budget.node_limit.is_some()
     }
 
     /// Compact single-token description for `JOBS` listings.
     fn describe(&self) -> String {
-        match self {
-            JobSpec::Solve {
-                entry, k, preset, ..
-            } => format!("solve({},k={k},preset={preset})", entry.name),
-            JobSpec::Batch {
-                entry,
-                k_lo,
-                k_hi,
-                preset,
-                ..
-            } => format!("batch({},k={k_lo}..{k_hi},preset={preset})", entry.name),
-            JobSpec::Enumerate { entry, k, top } => {
-                format!("enumerate({},k={k},top={top})", entry.name)
+        let name = &self.entry.name;
+        let preset = self.options.preset_name();
+        match &self.query {
+            Query::Solve { k } => format!("solve({name},k={k},preset={preset})"),
+            Query::Batch(subs) => {
+                let lo = subs.iter().map(|s| s.k).min().unwrap_or(0);
+                format!("batch({name},k={lo}..{},preset={preset})", self.query.k())
             }
-            JobSpec::Count { entry, k, min_size } => {
-                format!("count({},k={k},min={min_size})", entry.name)
-            }
+            Query::Enumerate { k } => format!("enumerate({name},k={k})"),
+            Query::TopR { k, r, .. } => format!("enumerate({name},k={k},top={r})"),
+            Query::Count { k, min_size } => format!("count({name},k={k},min={min_size})"),
         }
     }
 }
@@ -157,7 +106,7 @@ pub enum JobState {
     Done,
     /// Cancelled before or during execution.
     Cancelled,
-    /// The job itself failed (e.g. unknown preset).
+    /// The job itself failed (e.g. a query the session rejects).
     Failed,
 }
 
@@ -343,7 +292,7 @@ impl JobQueue {
                 submitted: now,
                 started: None,
                 finished: shutting_down.then_some(now),
-                trace: spec.trace(),
+                trace: spec.trace.clone(),
                 has_deadline: spec.has_deadline(),
                 watchdog_fired: false,
             },
@@ -615,105 +564,23 @@ fn with_solve_node_faults(
 
 /// Executes one job spec with the given cancel flag; a pure dispatch onto
 /// the entry's [`kdc_api::Session`], so it is unit-testable without a pool.
+/// A batch runs through `Session::run_batch_observed` rather than the
+/// folded `Query::Batch` surface, so its per-sub-query outcomes and
+/// shared-work counters survive into [`JobOutcome::Batch`].
 pub fn run_job(spec: &JobSpec, cancel: CancelFlag) -> JobOutcome {
-    let trace = spec.trace();
-    let fault_cancel = cancel.clone();
-    let (entry, query, budget, options, observer) = match spec {
-        JobSpec::Solve {
-            entry,
-            k,
-            preset,
-            limit,
-            nodes,
-            threads,
-            observer,
-            ..
-        } => {
-            let options = match Options::preset(preset) {
-                Ok(options) => options,
-                Err(e) => return JobOutcome::Error(e),
-            };
-            let mut budget = Budget::default().with_threads(*threads).with_cancel(cancel);
-            budget.time_limit = *limit;
-            budget.node_limit = *nodes;
-            (
-                entry,
-                Query::Solve { k: *k },
-                budget,
-                options,
-                observer.as_ref().map(|o| o.0.clone()),
-            )
-        }
-        // A batch is dispatched through `Session::run_batch_observed`
-        // directly — not the folded `Query::Batch` surface — so the
-        // per-sub-query outcomes and shared-work counters survive into the
-        // `JobOutcome::Batch` the MSOLVE handler reports.
-        JobSpec::Batch {
-            entry,
-            k_lo,
-            k_hi,
-            r,
-            preset,
-            limit,
-            nodes,
-            threads,
-            observer,
-            ..
-        } => {
-            let options = match Options::preset(preset) {
-                Ok(options) => options,
-                Err(e) => return JobOutcome::Error(e),
-            };
-            let mut budget = Budget::default().with_threads(*threads).with_cancel(cancel);
-            budget.time_limit = *limit;
-            budget.node_limit = *nodes;
-            let subs: Vec<SubQuery> = (*k_lo..=*k_hi)
-                .map(|k| SubQuery {
-                    k,
-                    r: *r,
-                    preset: None,
-                })
-                .collect();
-            let observer = observer.as_ref().map(|o| o.0.clone());
-            let observer = with_solve_node_faults(observer, fault_cancel);
-            return match entry
-                .session()
-                .run_batch_observed(&subs, &budget, &options, observer, trace)
-            {
-                Ok(batch) => JobOutcome::Batch(Box::new(batch)),
-                Err(e) => JobOutcome::Error(e),
-            };
-        }
-        JobSpec::Enumerate { entry, k, top } => (
-            entry,
-            Query::TopR {
-                k: *k,
-                r: *top,
-                diversify: false,
-            },
-            Budget::default().with_cancel(cancel),
-            Options::default(),
-            None,
-        ),
-        JobSpec::Count { entry, k, min_size } => (
-            entry,
-            Query::Count {
-                k: *k,
-                min_size: *min_size,
-            },
-            Budget::default().with_cancel(cancel),
-            Options::default(),
-            None,
-        ),
+    let budget = spec.budget.clone().with_cancel(cancel.clone());
+    let observer = with_solve_node_faults(spec.observer.as_ref().map(|o| o.0.clone()), cancel);
+    let session = spec.entry.session();
+    let trace = spec.trace.clone();
+    let outcome = match &spec.query {
+        Query::Batch(subs) => session
+            .run_batch_observed(subs, &budget, &spec.options, observer, trace)
+            .map(|batch| JobOutcome::Batch(Box::new(batch))),
+        query => session
+            .run_observed(query, &budget, &spec.options, observer, trace)
+            .map(|outcome| JobOutcome::Done(Box::new(outcome))),
     };
-    let observer = with_solve_node_faults(observer, fault_cancel);
-    match entry
-        .session()
-        .run_observed(&query, &budget, &options, observer, trace)
-    {
-        Ok(outcome) => JobOutcome::Done(Box::new(outcome)),
-        Err(e) => JobOutcome::Error(e),
-    }
+    outcome.unwrap_or_else(JobOutcome::Error)
 }
 
 /// A fixed pool of worker threads draining a shared [`JobQueue`].
@@ -799,7 +666,7 @@ fn worker_loop(queue: &JobQueue) {
         };
         // The record keeps the job's tracer for `TRACE <id>` as long as the
         // daemon runs: keep only the spans recorded, not the whole ring.
-        if let Some(trace) = spec.trace() {
+        if let Some(trace) = &spec.trace {
             trace.shrink_to_fit();
         }
         queue.finish(id, state_after, outcome);
@@ -810,6 +677,7 @@ fn worker_loop(queue: &JobQueue) {
 mod tests {
     use super::*;
     use crate::cache::GraphCache;
+    use kdc_api::SubQuery;
     use kdc_graph::{gen, named};
 
     fn figure2_entry() -> Arc<GraphEntry> {
@@ -818,16 +686,41 @@ mod tests {
     }
 
     fn solve_spec(entry: Arc<GraphEntry>, k: usize, preset: &str) -> JobSpec {
-        JobSpec::Solve {
-            entry,
-            k,
-            preset: preset.into(),
-            limit: None,
-            nodes: None,
-            threads: 1,
-            observer: None,
-            trace: None,
+        JobSpec {
+            options: Options::preset(preset).expect("known preset"),
+            ..JobSpec::new(entry, Query::Solve { k })
         }
+    }
+
+    fn top_r(k: usize, r: usize) -> Query {
+        Query::TopR {
+            k,
+            r,
+            diversify: false,
+        }
+    }
+
+    #[test]
+    fn jobs_describe_their_query() {
+        let entry = figure2_entry();
+        let batch = JobSpec {
+            options: Options::preset("kdbb").unwrap(),
+            ..JobSpec::new(
+                entry.clone(),
+                Query::Batch((0..=2).map(SubQuery::solve).collect()),
+            )
+        };
+        let count = JobSpec::new(entry.clone(), Query::Count { k: 1, min_size: 5 });
+        assert_eq!(
+            solve_spec(entry.clone(), 2, "kdc").describe(),
+            "solve(fig2,k=2,preset=kdc)"
+        );
+        assert_eq!(batch.describe(), "batch(fig2,k=0..2,preset=kdbb)");
+        assert_eq!(
+            JobSpec::new(entry, top_r(1, 2)).describe(),
+            "enumerate(fig2,k=1,top=2)"
+        );
+        assert_eq!(count.describe(), "count(fig2,k=1,min=5)");
     }
 
     #[test]
@@ -935,15 +828,9 @@ mod tests {
         let observer: Arc<dyn kdc_api::Observer> = Arc::new(move |e: &kdc_api::Event| {
             let _ = tx.lock().expect("poisoned").send(*e);
         });
-        let id = queue.submit(JobSpec::Solve {
-            entry,
-            k: 2,
-            preset: "kdc".into(),
-            limit: None,
-            nodes: None,
-            threads: 1,
+        let id = queue.submit(JobSpec {
             observer: Some(JobObserver(observer)),
-            trace: None,
+            ..solve_spec(entry, 2, "kdc")
         });
         queue.cancel(id).unwrap();
         assert!(
@@ -979,11 +866,12 @@ mod tests {
     }
 
     #[test]
-    fn unknown_preset_fails_the_job() {
+    fn failing_query_fails_the_job() {
         let entry = figure2_entry();
         let queue = Arc::new(JobQueue::new());
         let pool = WorkerPool::new(queue.clone(), 1).expect("spawn pool");
-        let id = queue.submit(solve_spec(entry, 1, "nope"));
+        // The session rejects an empty top-r pool.
+        let id = queue.submit(JobSpec::new(entry, top_r(1, 0)));
         assert!(matches!(queue.wait(id), JobOutcome::Error(_)));
         assert_eq!(queue.list()[0].state, JobState::Failed);
         pool.join();
@@ -994,15 +882,9 @@ mod tests {
         let mut rng = gen::seeded_rng(77);
         let cache = GraphCache::new();
         let entry = cache.insert("dense", gen::gnp(80, 0.5, &mut rng));
-        let spec = JobSpec::Solve {
-            entry,
-            k: 6,
-            preset: "kdc_t".into(),
-            limit: None,
-            nodes: Some(1),
-            threads: 1,
-            observer: None,
-            trace: None,
+        let spec = JobSpec {
+            budget: Budget::default().with_node_limit(1),
+            ..solve_spec(entry, 6, "kdc_t")
         };
         let JobOutcome::Done(outcome) = run_job(&spec, CancelFlag::new()) else {
             panic!("expected solve outcome");
@@ -1015,11 +897,7 @@ mod tests {
         let entry = figure2_entry();
         let queue = Arc::new(JobQueue::new());
         let pool = WorkerPool::new(queue.clone(), 1).expect("spawn pool");
-        let id = queue.submit(JobSpec::Enumerate {
-            entry,
-            k: 1,
-            top: 2,
-        });
+        let id = queue.submit(JobSpec::new(entry, top_r(1, 2)));
         let JobOutcome::Done(outcome) = queue.wait(id) else {
             panic!("expected an enumerate outcome");
         };
@@ -1034,11 +912,7 @@ mod tests {
         let direct = kdc::counting::count_k_defective_cliques(entry.graph(), 1, 5);
         let queue = Arc::new(JobQueue::new());
         let pool = WorkerPool::new(queue.clone(), 1).expect("spawn pool");
-        let id = queue.submit(JobSpec::Count {
-            entry,
-            k: 1,
-            min_size: 5,
-        });
+        let id = queue.submit(JobSpec::new(entry, Query::Count { k: 1, min_size: 5 }));
         let JobOutcome::Done(outcome) = queue.wait(id) else {
             panic!("expected a count outcome");
         };
@@ -1069,11 +943,7 @@ mod tests {
         let entry = cache.insert("dense", gen::gnp(80, 0.5, &mut rng));
         let queue = Arc::new(JobQueue::new());
         let pool = WorkerPool::new(queue.clone(), 1).expect("spawn pool");
-        let id = queue.submit(JobSpec::Enumerate {
-            entry,
-            k: 2,
-            top: usize::MAX,
-        });
+        let id = queue.submit(JobSpec::new(entry, top_r(2, usize::MAX)));
         loop {
             if queue.list()[0].state != JobState::Queued {
                 break;
@@ -1201,15 +1071,9 @@ mod tests {
     fn watchdog_exempts_jobs_with_their_own_budget() {
         let entry = figure2_entry();
         let queue = Arc::new(JobQueue::new());
-        let spec = JobSpec::Solve {
-            entry,
-            k: 2,
-            preset: "kdc".into(),
-            limit: Some(Duration::from_secs(60)),
-            nodes: None,
-            threads: 1,
-            observer: None,
-            trace: None,
+        let spec = JobSpec {
+            budget: Budget::default().with_time_limit(Duration::from_secs(60)),
+            ..solve_spec(entry, 2, "kdc")
         };
         assert!(spec.has_deadline());
         // No workers: force the record into Running by hand is not possible

@@ -20,10 +20,12 @@
 //!   lives *inside* the session, with explicit counters so warm reuse is
 //!   assertable, not just observable in timings;
 //! * [`jobs::JobQueue`] / [`jobs::WorkerPool`] — a FIFO queue and a fixed
-//!   `std::thread` pool coordinated by one `Mutex` and two `Condvar`s,
-//!   running typed [`kdc_api::Query`]s through the cached session with
-//!   cooperative cancellation ([`kdc::CancelFlag`]), per-job deadlines and
-//!   node limits ([`kdc_api::Budget`]);
+//!   `std::thread` pool coordinated by one `Mutex` and two `Condvar`s. Each
+//!   job is one [`jobs::JobSpec`]: a typed [`kdc_api::Query`] with its
+//!   [`kdc_api::Options`] and [`kdc_api::Budget`] (deadline, node limit,
+//!   threads), built once at the protocol edge — where an unknown graph or
+//!   preset is refused — and run through the cached session with
+//!   cooperative cancellation ([`kdc::CancelFlag`], owned by the queue);
 //! * [`server::Server`] — the accept loop and per-connection handlers,
 //!   including the `SOLVE verbose=1` `EVENT` stream fed by a
 //!   [`kdc_api::Observer`] registered on the job.
@@ -48,9 +50,10 @@
 //!   background thread under [`server::Server::spawn`]) only accepts.
 //! * **One handler thread per connection** parses lines and executes
 //!   commands. Cheap commands (`LOAD`, `STATS`, `JOBS`, …) run inline on
-//!   the handler thread; `SOLVE`/`ENUMERATE` are submitted to the queue and
-//!   the handler blocks in [`jobs::JobQueue::wait`] — so solver concurrency
-//!   is bounded by the worker pool, never by the number of clients.
+//!   the handler thread; the query verbs (`SOLVE`, `MSOLVE`, `ENUMERATE`,
+//!   `COUNT`) are submitted to the queue and the handler blocks in
+//!   [`jobs::JobQueue::wait`] — so solver concurrency is bounded by the
+//!   worker pool, never by the number of clients.
 //! * **N worker threads** (fixed at startup) pop jobs FIFO. A job's
 //!   [`kdc::CancelFlag`] is raised by `CANCEL <id>` from *any* connection;
 //!   the engine notices at its next branch-and-bound node and returns the

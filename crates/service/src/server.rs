@@ -12,7 +12,7 @@ use crate::jobs::{JobObserver, JobOutcome, JobQueue, JobSpec, SubmitError, Worke
 use crate::persist::{Persist, PersistHandle};
 use crate::protocol::{err_line, parse_command, render_vertices, Command, OkLine, ShutdownMode};
 use kdc::Status;
-use kdc_api::{Event, Observer, Options};
+use kdc_api::{Budget, Event, Observer, Options, Outcome, Query, SubQuery};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -41,8 +41,8 @@ struct Daemon {
     slow_threshold_ns: AtomicU64,
     /// Max concurrent connections (0 = unlimited).
     max_conns: AtomicUsize,
-    /// Max queued jobs before `SOLVE`/`ENUMERATE`/`COUNT` answer busy
-    /// (0 = unlimited).
+    /// Max queued jobs before the query verbs (`SOLVE`, `MSOLVE`,
+    /// `ENUMERATE`, `COUNT`) answer busy (0 = unlimited).
     max_queue: AtomicUsize,
     /// Per-connection idle read/write timeout in ms (0 = none).
     idle_timeout_ms: AtomicU64,
@@ -181,8 +181,9 @@ impl Server {
 
     /// Admission control: at most `max_conns` concurrent connections (extra
     /// accepts get one `ERR busy active_conns=..` line and are closed) and
-    /// at most `max_queue` queued jobs (extra `SOLVE`/`ENUMERATE`/`COUNT`
-    /// requests get `ERR busy queue_depth=..`). 0 = unlimited (the default).
+    /// at most `max_queue` queued jobs (extra `SOLVE`/`MSOLVE`/`ENUMERATE`/
+    /// `COUNT` requests get `ERR busy queue_depth=..`). 0 = unlimited (the
+    /// default).
     pub fn with_limits(self, max_conns: usize, max_queue: usize) -> Self {
         self.daemon.max_conns.store(max_conns, Ordering::Relaxed);
         self.daemon.max_queue.store(max_queue, Ordering::Relaxed);
@@ -505,19 +506,16 @@ fn execute(command: Command, daemon: &Daemon, writer: &mut TcpStream) -> (String
             nodes,
             threads,
             verbose,
-        } => solve(
+        } => job_spec(
             daemon,
             &graph,
-            SolveParams {
-                k,
-                preset,
-                limit,
-                nodes,
-                threads,
-                verbose,
-            },
-            writer,
-        ),
+            Query::Solve { k },
+            preset,
+            limit,
+            nodes,
+            threads,
+        )
+        .and_then(|spec| solve(daemon, spec, verbose, writer)),
         Command::MSolve {
             graph,
             k_lo,
@@ -527,22 +525,35 @@ fn execute(command: Command, daemon: &Daemon, writer: &mut TcpStream) -> (String
             limit,
             nodes,
             threads,
-        } => msolve(
-            daemon,
-            &graph,
-            MSolveParams {
-                k_lo,
-                k_hi,
-                r,
+        } => {
+            let subs = (k_lo..=k_hi)
+                .map(|k| SubQuery { k, r, preset: None })
+                .collect();
+            job_spec(
+                daemon,
+                &graph,
+                Query::Batch(subs),
                 preset,
                 limit,
                 nodes,
                 threads,
-            },
-            writer,
-        ),
-        Command::Enumerate { graph, k, top } => enumerate(daemon, &graph, k, top),
-        Command::Count { graph, k, min_size } => count(daemon, &graph, k, min_size),
+            )
+            .and_then(|spec| msolve(daemon, spec, writer))
+        }
+        Command::Enumerate { graph, k, top } => {
+            let query = Query::TopR {
+                k,
+                r: top,
+                diversify: false,
+            };
+            job_spec(daemon, &graph, query, None, None, None, 1)
+                .and_then(|spec| enumerate(daemon, spec))
+        }
+        Command::Count { graph, k, min_size } => {
+            let query = Query::Count { k, min_size };
+            job_spec(daemon, &graph, query, None, None, None, 1)
+                .and_then(|spec| count(daemon, spec, min_size))
+        }
         Command::Stats { graph } => stats(daemon, graph.as_deref()),
         Command::Unload { graph } => {
             if daemon.cache.unload(&graph) {
@@ -669,14 +680,76 @@ fn metrics(writer: &mut TcpStream) -> Result<String, String> {
     Ok(OkLine::new().field("series", series).render())
 }
 
-/// Parameters of one `SOLVE` request (bundled to keep the call sites flat).
-struct SolveParams {
-    k: usize,
+/// Builds the job for one query verb at the protocol edge: looks up the
+/// cached graph and validates the preset (`kdc` when omitted), so a bad
+/// request answers `ERR` without ever becoming a job or burning a worker.
+fn job_spec(
+    daemon: &Daemon,
+    graph: &str,
+    query: Query,
     preset: Option<String>,
     limit: Option<Duration>,
     nodes: Option<u64>,
     threads: usize,
-    verbose: bool,
+) -> Result<JobSpec, String> {
+    let entry = daemon
+        .cache
+        .get(graph)
+        .ok_or_else(|| format!("no graph named {graph:?} (LOAD it first)"))?;
+    Ok(JobSpec {
+        options: Options::preset(preset.as_deref().unwrap_or("kdc"))?,
+        budget: Budget {
+            time_limit: limit,
+            node_limit: nodes,
+            threads,
+            cancel: None,
+        },
+        ..JobSpec::new(entry, query)
+    })
+}
+
+/// Attaches an observer that renders the events `render` accepts into
+/// protocol lines and forwards them into a channel; the handler writes them
+/// with [`drain_lines`] until the worker drops the job, and with it the
+/// sender. The sender sits in a mutex only to keep the observer `Sync`.
+fn attach_stream(
+    spec: &mut JobSpec,
+    render: fn(&Event) -> Option<String>,
+) -> mpsc::Receiver<String> {
+    let (tx, rx) = mpsc::channel::<String>();
+    let tx = Mutex::new(tx);
+    let observer: Arc<dyn Observer> = Arc::new(move |e: &Event| {
+        // A poisoned sender mutex means an earlier event callback panicked;
+        // dropping this event is strictly better than killing the whole job
+        // with a second panic.
+        if let Some(line) = render(e) {
+            if let Ok(tx) = tx.lock() {
+                let _ = tx.send(line);
+            }
+        }
+    });
+    spec.observer = Some(JobObserver(observer));
+    rx
+}
+
+/// Writes streamed lines onto the connection until the job finishes. A dead
+/// client cannot be told about it; keep draining so the job is never
+/// blocked on the channel, and skip the writes.
+fn drain_lines(lines: mpsc::Receiver<String>, writer: &mut TcpStream) {
+    while let Ok(line) = lines.recv() {
+        let _ = writer
+            .write_all(format!("{line}\n").as_bytes())
+            .and_then(|()| writer.flush());
+    }
+}
+
+/// Waits for a single-query job: its outcome, or the job's error.
+fn wait_outcome(daemon: &Daemon, id: u64) -> Result<Box<Outcome>, String> {
+    match daemon.queue.wait(id) {
+        JobOutcome::Done(outcome) => Ok(outcome),
+        JobOutcome::Batch(_) => Err(format!("internal: job {id} returned a batch")),
+        JobOutcome::Error(e) => Err(e),
+    }
 }
 
 /// Renders one streamed event as an `EVENT` protocol line.
@@ -703,294 +776,183 @@ fn event_line(event: &Event) -> String {
     }
 }
 
-fn solve(
-    daemon: &Daemon,
-    graph: &str,
-    params: SolveParams,
-    writer: &mut TcpStream,
-) -> Result<String, String> {
-    let entry = daemon
-        .cache
-        .get(graph)
-        .ok_or_else(|| format!("no graph named {graph:?} (LOAD it first)"))?;
-    let preset = params.preset.unwrap_or_else(|| "kdc".to_string());
-    // Fail fast on a bad preset instead of burning a worker slot.
-    Options::preset(&preset)?;
-    // verbose=1: the job forwards events into a channel; this handler
-    // drains it onto the connection until the worker drops its sender (job
-    // finished), then falls through to the final response line. mpsc
-    // senders are wrapped in a mutex only to stay `Sync` for the observer.
-    let (observer, events) = if params.verbose {
-        let (tx, rx) = mpsc::channel::<Event>();
-        let tx = Mutex::new(tx);
-        let observer: Arc<dyn Observer> = Arc::new(move |e: &Event| {
-            // A poisoned sender mutex means an earlier event callback
-            // panicked; dropping this event is strictly better than killing
-            // the whole job with a second panic.
-            if let Ok(tx) = tx.lock() {
-                let _ = tx.send(*e);
-            }
-        });
-        (Some(JobObserver(observer)), Some(rx))
-    } else {
-        (None, None)
-    };
-    // Every daemon solve carries a tracer, so `TRACE <id>` works after the
-    // fact and the slow-query log can print a phase breakdown.
-    let trace = kdc_obs::Tracer::new();
-    // A busy refusal drops the spec (and with it the verbose sender), so
-    // the `?` below cannot leave a channel dangling.
-    let id = submit_checked(
-        daemon,
-        JobSpec::Solve {
-            entry: entry.clone(),
-            k: params.k,
-            preset: preset.clone(),
-            limit: params.limit,
-            nodes: params.nodes,
-            threads: params.threads,
-            observer,
-            trace: Some(trace.clone()),
-        },
-    )?;
-    if let Some(rx) = events {
-        while let Ok(event) = rx.recv() {
-            // A dead client cannot be told about it; keep draining so the
-            // job is not blocked on a full channel, skip the writes.
-            let _ = writer
-                .write_all(format!("{}\n", event_line(&event)).as_bytes())
-                .and_then(|()| writer.flush());
-        }
-    }
-    match daemon.queue.wait(id) {
-        JobOutcome::Done(outcome) => {
-            let elapsed_ns = outcome.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-            if elapsed_ns >= daemon.slow_threshold_ns.load(Ordering::Relaxed) {
-                daemon.slow_queries.inc();
-                let phases: Vec<String> = trace
-                    .summary()
-                    .iter()
-                    .map(|p| format!("{}={}ns/{}", p.name, p.total_ns, p.count))
-                    .collect();
-                eprintln!(
-                    "kdc_service slow query: job={id} graph={graph} preset={preset} \
-                     k={} elapsed_ms={} phases=[{}]",
-                    params.k,
-                    outcome.elapsed.as_millis(),
-                    phases.join(" ")
-                );
-            }
-            // Journal newly proven outcomes only: a memo hit was journaled
-            // when it was first proven (possibly by an earlier process).
-            if outcome.status == Status::Optimal && !outcome.cache.result_memo_hit {
-                if let Some(persist) = daemon.persist.get() {
-                    let key = kdc_api::SolveKey {
-                        k: params.k,
-                        preset: preset.clone(),
-                    };
-                    let solution = kdc::Solution {
-                        vertices: outcome.best().unwrap_or_default().to_vec(),
-                        status: outcome.status,
-                        stats: outcome.stats.clone(),
-                    };
-                    persist.record_solve(&daemon.cache, &entry, &key, &solution);
-                }
-            }
-            Ok(OkLine::new()
-                .field("job", id)
-                .field("graph", graph)
-                .field("status", status_token(outcome.status))
-                .field("size", outcome.size())
-                .field(
-                    "vertices",
-                    render_vertices(outcome.best().unwrap_or_default()),
-                )
-                .field("cached", outcome.cache.result_memo_hit)
-                .field("ctcp_resumed", outcome.cache.ctcp_resumed)
-                .field("elapsed_ms", outcome.elapsed.as_millis())
-                .field("nodes", outcome.stats.nodes)
-                .field("ctcp_removed_v", outcome.stats.ctcp_vertex_removals)
-                .field("ctcp_removed_e", outcome.stats.ctcp_edge_removals)
-                .field("arena_reuses", outcome.stats.arena_reuses)
-                .field("universe_rebuilds", outcome.stats.universe_rebuilds)
-                .render())
-        }
-        JobOutcome::Batch(_) => Err("internal: solve job returned a batch".to_string()),
-        JobOutcome::Error(e) => Err(e),
-    }
-}
-
-/// Parameters of one `MSOLVE` request.
-struct MSolveParams {
-    k_lo: usize,
-    k_hi: usize,
-    r: Option<usize>,
-    preset: Option<String>,
-    limit: Option<Duration>,
-    nodes: Option<u64>,
-    threads: usize,
-}
-
-fn msolve(
-    daemon: &Daemon,
-    graph: &str,
-    params: MSolveParams,
-    writer: &mut TcpStream,
-) -> Result<String, String> {
-    let entry = daemon
-        .cache
-        .get(graph)
-        .ok_or_else(|| format!("no graph named {graph:?} (LOAD it first)"))?;
-    let preset = params.preset.unwrap_or_else(|| "kdc".to_string());
-    Options::preset(&preset)?;
-    // The whole sweep is one job, but answers stream as they land: the
-    // job's observer forwards each sub-query completion into a channel and
-    // this handler writes them as `RESULT` lines until the worker drops
-    // its sender, then falls through to the final OK. Same mpsc pattern as
-    // `SOLVE verbose=1`; non-SubDone solver events are dropped at the
-    // source so a chatty search cannot stall on a slow client.
-    let (tx, rx) = mpsc::channel::<Event>();
-    let tx = Mutex::new(tx);
-    let observer: Arc<dyn Observer> = Arc::new(move |e: &Event| {
-        if matches!(e, Event::SubDone { .. }) {
-            if let Ok(tx) = tx.lock() {
-                let _ = tx.send(*e);
-            }
-        }
-    });
-    let trace = kdc_obs::Tracer::new();
-    let id = submit_checked(
-        daemon,
-        JobSpec::Batch {
-            entry: entry.clone(),
-            k_lo: params.k_lo,
-            k_hi: params.k_hi,
-            r: params.r,
-            preset,
-            limit: params.limit,
-            nodes: params.nodes,
-            threads: params.threads,
-            observer: Some(JobObserver(observer)),
-            trace: Some(trace.clone()),
-        },
-    )?;
-    while let Ok(event) = rx.recv() {
-        if let Event::SubDone {
+/// The `MSOLVE` streamed line for one sub-query completion.
+fn result_line(event: &Event) -> Option<String> {
+    match *event {
+        Event::SubDone {
             index,
             k,
             size,
             status,
-        } = event
-        {
-            // A dead client cannot be told; keep draining so the job is
-            // never blocked on the channel.
-            let _ = writer
-                .write_all(
-                    format!(
-                        "RESULT idx={index} k={k} size={size} status={}\n",
-                        status_token(status)
-                    )
-                    .as_bytes(),
-                )
-                .and_then(|()| writer.flush());
-        }
-    }
-    match daemon.queue.wait(id) {
-        JobOutcome::Batch(batch) => {
-            // One sweep proves many (k, preset) rows at once; journal the
-            // session's whole exported state (replay folds last-wins, so
-            // re-journaling rows already on disk is harmless).
-            if let Some(persist) = daemon.persist.get() {
-                persist.record_session(&daemon.cache, &entry);
-            }
-            let sizes: Vec<String> = batch
-                .outcomes
-                .iter()
-                .map(|o| o.size().to_string())
-                .collect();
-            Ok(OkLine::new()
-                .field("job", id)
-                .field("graph", graph)
-                .field("status", status_token(batch.status()))
-                .field("subs", batch.outcomes.len())
-                .field("sizes", sizes.join(","))
-                .field("ctcp_shares", batch.batch_ctcp_shares)
-                .field("witness_seeds", batch.batch_witness_seeds)
-                .field("memo_dedups", batch.batch_memo_dedups)
-                .field("nodes", batch.total_nodes())
-                .field("elapsed_ms", batch.elapsed.as_millis())
-                .render())
-        }
-        JobOutcome::Done(_) => Err("internal: batch job returned a single outcome".to_string()),
-        JobOutcome::Error(e) => Err(e),
+        } => Some(format!(
+            "RESULT idx={index} k={k} size={size} status={}",
+            status_token(status)
+        )),
+        _ => None,
     }
 }
 
-fn enumerate(daemon: &Daemon, graph: &str, k: usize, top: usize) -> Result<String, String> {
-    let entry = daemon
-        .cache
-        .get(graph)
-        .ok_or_else(|| format!("no graph named {graph:?} (LOAD it first)"))?;
-    let id = submit_checked(daemon, JobSpec::Enumerate { entry, k, top })?;
-    match daemon.queue.wait(id) {
-        JobOutcome::Done(outcome) => {
-            let complete = outcome.status == Status::Optimal;
-            let sizes: Vec<String> = outcome
-                .witnesses
-                .iter()
-                .map(|c| c.len().to_string())
-                .collect();
-            let rendered: Vec<String> = outcome
-                .witnesses
-                .iter()
-                .map(|c| render_vertices(c))
-                .collect();
-            Ok(OkLine::new()
-                .field("job", id)
-                .field("graph", graph)
-                .field("status", if complete { "complete" } else { "cancelled" })
-                .field("count", outcome.witnesses.len())
-                .field("sizes", sizes.join(","))
-                .field("cliques", rendered.join(";"))
-                .field("elapsed_ms", outcome.elapsed.as_millis())
-                .render())
-        }
-        JobOutcome::Batch(_) => Err("internal: enumerate job returned a batch".to_string()),
-        JobOutcome::Error(e) => Err(e),
+fn solve(
+    daemon: &Daemon,
+    mut spec: JobSpec,
+    verbose: bool,
+    writer: &mut TcpStream,
+) -> Result<String, String> {
+    // verbose=1: the job streams `EVENT` lines onto the connection until
+    // it finishes, then the handler falls through to the final line.
+    let events = verbose.then(|| attach_stream(&mut spec, |e| Some(event_line(e))));
+    // Every daemon solve carries a tracer, so `TRACE <id>` works after the
+    // fact and the slow-query log can print a phase breakdown.
+    let trace = kdc_obs::Tracer::new();
+    spec.trace = Some(trace.clone());
+    let entry = spec.entry.clone();
+    let (k, preset) = (spec.query.k(), spec.options.preset_name().to_string());
+    // A busy refusal drops the spec (and with it the verbose sender), so
+    // the `?` below cannot leave a channel dangling.
+    let id = submit_checked(daemon, spec)?;
+    if let Some(events) = events {
+        drain_lines(events, writer);
     }
-}
-
-fn count(daemon: &Daemon, graph: &str, k: usize, min_size: usize) -> Result<String, String> {
-    let entry = daemon
-        .cache
-        .get(graph)
-        .ok_or_else(|| format!("no graph named {graph:?} (LOAD it first)"))?;
-    let id = submit_checked(daemon, JobSpec::Count { entry, k, min_size })?;
-    match daemon.queue.wait(id) {
-        JobOutcome::Done(outcome) => {
-            let Some(counts) = outcome.counts else {
-                return Err("internal: count job returned no counts".to_string());
+    let outcome = wait_outcome(daemon, id)?;
+    let status = status_token(outcome.status);
+    let elapsed_ns = outcome.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+    if elapsed_ns >= daemon.slow_threshold_ns.load(Ordering::Relaxed) {
+        daemon.slow_queries.inc();
+        let phases: Vec<String> = trace
+            .summary()
+            .iter()
+            .map(|p| format!("{}={}ns/{}", p.name, p.total_ns, p.count))
+            .collect();
+        eprintln!(
+            "kdc_service slow query: job={id} graph={} preset={preset} k={k} status={status} \
+             elapsed_ms={} phases=[{}]",
+            entry.name,
+            outcome.elapsed.as_millis(),
+            phases.join(" ")
+        );
+    }
+    // Journal newly proven outcomes only: a memo hit was journaled when it
+    // was first proven (possibly by an earlier process).
+    if outcome.status == Status::Optimal && !outcome.cache.result_memo_hit {
+        if let Some(persist) = daemon.persist.get() {
+            let key = kdc_api::SolveKey { k, preset };
+            let solution = kdc::Solution {
+                vertices: outcome.best().unwrap_or_default().to_vec(),
+                status: outcome.status,
+                stats: outcome.stats.clone(),
             };
-            // Render only the non-zero sizes as size:count pairs.
-            let rendered: Vec<String> = counts
-                .counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(s, &c)| format!("{s}:{c}"))
-                .collect();
-            Ok(OkLine::new()
-                .field("job", id)
-                .field("graph", graph)
-                .field("max_size", counts.max_size())
-                .field("total", counts.total_at_least(min_size))
-                .field("counts", rendered.join(","))
-                .field("elapsed_ms", outcome.elapsed.as_millis())
-                .render())
+            persist.record_solve(&daemon.cache, &entry, &key, &solution);
         }
-        JobOutcome::Batch(_) => Err("internal: count job returned a batch".to_string()),
-        JobOutcome::Error(e) => Err(e),
     }
+    Ok(OkLine::new()
+        .field("job", id)
+        .field("graph", &entry.name)
+        .field("status", status)
+        .field("size", outcome.size())
+        .field(
+            "vertices",
+            render_vertices(outcome.best().unwrap_or_default()),
+        )
+        .field("cached", outcome.cache.result_memo_hit)
+        .field("ctcp_resumed", outcome.cache.ctcp_resumed)
+        .field("elapsed_ms", outcome.elapsed.as_millis())
+        .field("nodes", outcome.stats.nodes)
+        .field("ctcp_removed_v", outcome.stats.ctcp_vertex_removals)
+        .field("ctcp_removed_e", outcome.stats.ctcp_edge_removals)
+        .field("arena_reuses", outcome.stats.arena_reuses)
+        .field("universe_rebuilds", outcome.stats.universe_rebuilds)
+        .render())
+}
+
+fn msolve(daemon: &Daemon, mut spec: JobSpec, writer: &mut TcpStream) -> Result<String, String> {
+    // The whole sweep is one job, but answers stream as they land: each
+    // sub-query completion becomes a `RESULT` line, and other solver events
+    // are dropped at the source so a chatty search cannot stall on a slow
+    // client.
+    let results = attach_stream(&mut spec, result_line);
+    spec.trace = Some(kdc_obs::Tracer::new());
+    let entry = spec.entry.clone();
+    let id = submit_checked(daemon, spec)?;
+    drain_lines(results, writer);
+    let batch = match daemon.queue.wait(id) {
+        JobOutcome::Batch(batch) => batch,
+        JobOutcome::Done(_) => return Err(format!("internal: job {id} returned one outcome")),
+        JobOutcome::Error(e) => return Err(e),
+    };
+    // One sweep proves many (k, preset) rows at once; journal the session's
+    // whole exported state (replay folds last-wins, so re-journaling rows
+    // already on disk is harmless).
+    if let Some(persist) = daemon.persist.get() {
+        persist.record_session(&daemon.cache, &entry);
+    }
+    let sizes: Vec<String> = batch
+        .outcomes
+        .iter()
+        .map(|o| o.size().to_string())
+        .collect();
+    Ok(OkLine::new()
+        .field("job", id)
+        .field("graph", &entry.name)
+        .field("status", status_token(batch.status()))
+        .field("subs", batch.outcomes.len())
+        .field("sizes", sizes.join(","))
+        .field("ctcp_shares", batch.batch_ctcp_shares)
+        .field("witness_seeds", batch.batch_witness_seeds)
+        .field("memo_dedups", batch.batch_memo_dedups)
+        .field("nodes", batch.total_nodes())
+        .field("elapsed_ms", batch.elapsed.as_millis())
+        .render())
+}
+
+fn enumerate(daemon: &Daemon, spec: JobSpec) -> Result<String, String> {
+    let graph = spec.entry.name.clone();
+    let id = submit_checked(daemon, spec)?;
+    let outcome = wait_outcome(daemon, id)?;
+    let complete = outcome.status == Status::Optimal;
+    let sizes: Vec<String> = outcome
+        .witnesses
+        .iter()
+        .map(|c| c.len().to_string())
+        .collect();
+    let rendered: Vec<String> = outcome
+        .witnesses
+        .iter()
+        .map(|c| render_vertices(c))
+        .collect();
+    Ok(OkLine::new()
+        .field("job", id)
+        .field("graph", graph)
+        .field("status", if complete { "complete" } else { "cancelled" })
+        .field("count", outcome.witnesses.len())
+        .field("sizes", sizes.join(","))
+        .field("cliques", rendered.join(";"))
+        .field("elapsed_ms", outcome.elapsed.as_millis())
+        .render())
+}
+
+fn count(daemon: &Daemon, spec: JobSpec, min_size: usize) -> Result<String, String> {
+    let graph = spec.entry.name.clone();
+    let id = submit_checked(daemon, spec)?;
+    let outcome = wait_outcome(daemon, id)?;
+    let Some(counts) = outcome.counts else {
+        return Err("internal: count job returned no counts".to_string());
+    };
+    // Render only the non-zero sizes as size:count pairs.
+    let rendered: Vec<String> = counts
+        .counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(s, &c)| format!("{s}:{c}"))
+        .collect();
+    Ok(OkLine::new()
+        .field("job", id)
+        .field("graph", graph)
+        .field("max_size", counts.max_size())
+        .field("total", counts.total_at_least(min_size))
+        .field("counts", rendered.join(","))
+        .field("elapsed_ms", outcome.elapsed.as_millis())
+        .render())
 }
 
 fn stats(daemon: &Daemon, graph: Option<&str>) -> Result<String, String> {

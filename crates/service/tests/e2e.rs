@@ -742,3 +742,41 @@ fn panicking_job_leaves_daemon_serving() {
     assert_eq!(resp, "OK shutdown=ok mode=abort");
     handle.join().expect("clean server exit");
 }
+
+/// Every query verb shares one protocol edge: an unknown graph or preset
+/// answers a one-line `ERR` there and never becomes a job.
+#[test]
+fn edge_errors_never_become_jobs() {
+    let p = write_graph("edge_fig2.clq", &named::figure2());
+    let handle = kdc_service::Server::bind("127.0.0.1:0", 1)
+        .expect("bind ephemeral port")
+        .spawn()
+        .expect("spawn accept loop");
+    let addr = handle.addr().to_string();
+    let mut control = Client::connect(&addr);
+    let resp = control.send(&format!("LOAD {} AS fig2", p.display()));
+    assert_eq!(field(&resp, "loaded"), "fig2", "{resp}");
+    let resp = control.send("SOLVE fig2 k=1");
+    assert_eq!(field(&resp, "status"), "optimal", "{resp}");
+    let jobs_before = field(&control.send("JOBS"), "count").to_string();
+    assert_eq!(jobs_before, "1");
+
+    for request in [
+        "SOLVE fig2 k=1 preset=nope",
+        "SOLVE nosuch k=1",
+        "MSOLVE nosuch k=0..2",
+        "ENUMERATE nosuch k=1 top=2",
+        "COUNT nosuch k=1",
+    ] {
+        let reply = kdc_service::request(&addr, request).expect("request");
+        assert!(
+            reply.starts_with("ERR ") && !reply.contains('\n'),
+            "{request} must answer one ERR line: {reply:?}"
+        );
+    }
+    let jobs = control.send("JOBS");
+    assert_eq!(field(&jobs, "count"), jobs_before, "{jobs}");
+
+    assert_eq!(control.send("SHUTDOWN"), "OK shutdown=ok mode=abort");
+    handle.join().expect("clean server exit");
+}

@@ -435,7 +435,10 @@ impl Store {
 mod tests {
     use super::*;
 
-    /// Fault state is process-global; tests that arm it must not interleave.
+    /// Fault plans are process-global: a test that arms one fires on
+    /// whichever store hits the fault point first. Every test that opens,
+    /// appends to or compacts a `Store` holds this guard, so an armed fault
+    /// only ever meets the test that armed it.
     static FAULT_GUARD: Mutex<()> = Mutex::new(());
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -462,6 +465,7 @@ mod tests {
 
     #[test]
     fn append_then_reopen_recovers_state() {
+        let _g = FAULT_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("roundtrip");
         let (store, recovered) = Store::open(&dir).unwrap();
         assert!(recovered.is_empty());
@@ -489,6 +493,7 @@ mod tests {
 
     #[test]
     fn torn_journal_tail_is_truncated_on_reopen() {
+        let _g = FAULT_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("torn");
         let (store, _) = Store::open(&dir).unwrap();
         let records = sample_state().records();
@@ -517,6 +522,7 @@ mod tests {
 
     #[test]
     fn compaction_folds_duplicates_and_resets_cadence() {
+        let _g = FAULT_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("compact");
         let (store, _) = Store::open(&dir).unwrap();
         let state = sample_state();
@@ -587,6 +593,7 @@ mod tests {
 
     #[test]
     fn append_reports_compaction_due() {
+        let _g = FAULT_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("cadence");
         let (store, _) = Store::open(&dir).unwrap();
         let rec = Record::Graph {
