@@ -13,10 +13,9 @@
 //!   for `k' ≤ k` is feasible at `k`, so it seeds the incumbent; and
 //!   `opt(k) ≤ opt(k') ≤ opt(k) + (k' − k)` for `k ≤ k'` (drop a vertex
 //!   incident to a missing edge), so every proven size caps the remaining
-//!   entries via [`kdc::SolverConfig::known_ub`]. The accumulated witness
-//!   sizes are folded into the resident reducer through one shared
-//!   [`kdc_graph::ctcp::Ctcp::tighten_batch`] pass per sub-solve, merged
-//!   unsorted — `tighten_batch` reduces by maximum, so no pre-sorting.
+//!   entries via [`kdc::SolverConfig::known_ub`]. The largest witness
+//!   size accumulated so far is folded into the resident reducer through
+//!   one [`kdc_graph::ctcp::Ctcp::tighten`] per sub-solve.
 //! * Answers stream through the session's ordinary [`Observer`] channel:
 //!   one [`Event::SubDone`] per input sub-query (duplicates included), in
 //!   completion order, before the final [`Event::Done`].
@@ -181,8 +180,8 @@ pub struct BatchOutcome {
     /// Per-sub-query outcomes, indexed like the caller's input list.
     /// Deduplicated sub-queries share (clones of) one answer.
     pub outcomes: Vec<Outcome>,
-    /// Sub-solves whose reducer consumed a merged lower-bound schedule
-    /// carrying bounds contributed by other sub-queries of this batch.
+    /// Sub-solves whose reducer was tightened to a lower-bound floor
+    /// contributed by other sub-queries of this batch.
     pub batch_ctcp_shares: u64,
     /// Sub-solves seeded by a witness another sub-query of this batch
     /// produced (strictly better than anything the session already knew).
@@ -199,18 +198,10 @@ impl BatchOutcome {
     /// status (`Cancelled` > `TimedOut` > `NodeLimitReached` > `Optimal`),
     /// so a batch is `Optimal` only when every sub-query is.
     pub fn status(&self) -> Status {
-        let mut folded = Status::Optimal;
-        for outcome in &self.outcomes {
-            folded = match (folded, outcome.status) {
-                (Status::Cancelled, _) | (_, Status::Cancelled) => Status::Cancelled,
-                (Status::TimedOut, _) | (_, Status::TimedOut) => Status::TimedOut,
-                (Status::NodeLimitReached, _) | (_, Status::NodeLimitReached) => {
-                    Status::NodeLimitReached
-                }
-                (Status::Optimal, Status::Optimal) => Status::Optimal,
-            };
-        }
-        folded
+        self.outcomes
+            .iter()
+            .map(|o| o.status)
+            .fold(Status::Optimal, Status::max)
     }
 
     /// Total branch-and-bound nodes across all distinct searches. Memo
@@ -365,18 +356,17 @@ impl<'a> BatchExec<'a> {
     /// counters, feasible and proven witnesses); the solve itself is the
     /// session's one pipeline.
     fn run_solve(&mut self, group: &PlanGroup, k: usize) -> Result<Outcome, String> {
-        // The shared-universe pass: every witness size this batch has
-        // produced at k' ≤ k, unsorted and with whatever duplicates
-        // accumulated — `tighten_batch` reduces by maximum. The schedule
-        // never exceeds the seed below, so the solver's `resident reducer
-        // lb ≤ initial lb` invariant holds and the tightening only discards
-        // solutions the seed already dominates.
-        let schedule: Vec<usize> = self
+        // The shared-universe pass: the largest witness this batch has
+        // produced at k' ≤ k. The floor never exceeds the seed below, so
+        // the solver's `resident reducer lb ≤ initial lb` invariant holds
+        // and the tightening only discards solutions the seed already
+        // dominates.
+        let floor = self
             .feasible
             .range(..=k)
             .map(|(_, w)| w.len())
             .filter(|&s| s > 0)
-            .collect();
+            .max();
         // Seed: the best feasible witness this batch produced at any
         // k' ≤ k, when it strictly beats the session's prior knowledge
         // (otherwise the pipeline seeds from the session as usual).
@@ -400,7 +390,7 @@ impl<'a> BatchExec<'a> {
             self.observer.clone(),
             self.trace.clone(),
             SweepHints {
-                schedule: &schedule,
+                floor,
                 seed,
                 known_ub,
             },
@@ -410,7 +400,7 @@ impl<'a> BatchExec<'a> {
         if outcome.cache.result_memo_hit {
             self.dedups += 1;
         } else {
-            self.shares += u64::from(!schedule.is_empty());
+            self.shares += u64::from(floor.is_some());
             self.seeds += u64::from(batch_seeded);
         }
         let witness = outcome.best().unwrap_or_default();

@@ -47,8 +47,8 @@ pub enum Query {
     /// A batch of sub-queries answered in one planned pass: the
     /// [`crate::BatchPlan`] groups them by preset/rule set, sweeps each
     /// group's k values ascending so every optimum witness seeds (and its
-    /// adjacent-k bound caps) the next solve, shares one merged
-    /// lower-bound schedule per reducer and fans duplicate sub-queries out
+    /// adjacent-k bound caps) the next solve, tightens each reducer to the
+    /// batch's best lower bound and fans duplicate sub-queries out
     /// from a single execution. Per-sub-query answers stream through the
     /// observer as [`Event::SubDone`]; run a batch via
     /// [`crate::Session::run_batch`] to get the full

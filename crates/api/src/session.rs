@@ -171,8 +171,8 @@ pub struct SessionCounters {
     pub ctcp_resumes: u64,
     /// Reducers evicted from the bounded LRU cache.
     pub ctcp_evictions: u64,
-    /// Batch sub-solves whose reducer consumed a merged lower-bound
-    /// schedule carrying bounds from other sub-queries.
+    /// Batch sub-solves whose reducer was tightened to a lower-bound floor
+    /// contributed by other sub-queries.
     pub batch_ctcp_shares: u64,
     /// Batch sub-solves seeded by a witness another sub-query produced.
     pub batch_witness_seeds: u64,
@@ -726,7 +726,7 @@ impl Session {
         options: &Options,
         observer: Option<Arc<dyn Observer>>,
         trace: Option<kdc_obs::Tracer>,
-        hints: SweepHints<'_>,
+        hints: SweepHints,
     ) -> Result<Outcome, String> {
         let t0 = Instant::now();
         let memo_key = options.memo_preset().map(|preset| SolveKey {
@@ -764,8 +764,8 @@ impl Session {
             },
             config.trace.as_ref(),
         );
-        if !hints.schedule.is_empty() {
-            lock_unpoisoned(&ctcp).tighten_batch(hints.schedule);
+        if let Some(floor) = hints.floor {
+            lock_unpoisoned(&ctcp).tighten(floor);
         }
         config.shared_ctcp = Some(ctcp);
         let seed = hints.seed.or_else(|| self.best_known(k));
@@ -886,12 +886,12 @@ fn evict_lru_memo(memo: &mut MemoCache) {
 /// What a batch sweep knows beyond a plain solve (see [`crate::batch`]).
 /// The default carries nothing: a plain solve.
 #[derive(Default)]
-pub(crate) struct SweepHints<'a> {
-    /// Witness sizes other sub-queries produced, folded into the resident
-    /// reducer by one [`Ctcp::tighten_batch`] pass before the search. Never
-    /// above the seed, so the reducer's bound stays one this solve can
-    /// justify.
-    pub(crate) schedule: &'a [usize],
+pub(crate) struct SweepHints {
+    /// The largest witness size other sub-queries produced, folded into
+    /// the resident reducer by one [`Ctcp::tighten`] before the search.
+    /// Never above the seed, so the reducer's bound stays one this solve
+    /// can justify.
+    pub(crate) floor: Option<usize>,
     /// A witness to seed with in place of the session's best known one.
     pub(crate) seed: Option<Vec<VertexId>>,
     /// A proven upper bound on the optimum; reaching it ends the search.

@@ -111,35 +111,6 @@ fn bench_ctcp(c: &mut Criterion) {
             })
         });
 
-        // Batched: the whole pending schedule handed over in one call (a
-        // decompose worker draining several queued incumbent improvements)
-        // — one sweep at the maximum instead of one pass per step.
-        group.bench_function("incremental-batch", |b| {
-            b.iter_custom(|iters| {
-                let mut total = Duration::ZERO;
-                for _ in 0..iters {
-                    let mut ctcp = Ctcp::new(&g, K);
-                    let t0 = Instant::now();
-                    black_box(ctcp.tighten_batch(&SCHEDULE).vertices.len());
-                    total += t0.elapsed();
-                }
-                total
-            })
-        });
-
-        // The batch lands on the same universe as the stepped schedule.
-        let mut stepped = Ctcp::new(&g, K);
-        for &lb in &SCHEDULE {
-            stepped.tighten(lb);
-        }
-        let mut batched = Ctcp::new(&g, K);
-        batched.tighten_batch(&SCHEDULE);
-        assert_eq!(
-            batched.extract_universe().0,
-            stepped.extract_universe().0,
-            "batched tighten must match the stepped schedule"
-        );
-
         group.finish();
     }
 }

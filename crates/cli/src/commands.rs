@@ -150,7 +150,7 @@ pub fn batch(args: &[String]) -> Result<ExitCode, String> {
                 status,
             } => println!(
                 "watch: sub-done idx={index} k={k} size={size} status={}",
-                status_word(status)
+                status.as_token()
             ),
             _ => {}
         }) as Arc<dyn Observer>
@@ -169,7 +169,7 @@ pub fn batch(args: &[String]) -> Result<ExitCode, String> {
                 "k={}: size={} status={} vertices={:?}",
                 sub.k,
                 outcome.size(),
-                status_word(outcome.status),
+                outcome.status.as_token(),
                 outcome.best().unwrap_or_default()
             ),
             Some(_) => println!(
@@ -177,7 +177,7 @@ pub fn batch(args: &[String]) -> Result<ExitCode, String> {
                 sub.k,
                 outcome.witnesses.len(),
                 outcome.witnesses.iter().map(Vec::len).collect::<Vec<_>>(),
-                status_word(outcome.status)
+                outcome.status.as_token()
             ),
         }
     }
@@ -219,22 +219,12 @@ fn parse_k_range(raw: &str) -> Result<(usize, usize), String> {
     Ok((lo, hi))
 }
 
-/// One-word rendering of a termination status for `watch:` lines.
-fn status_word(status: Status) -> &'static str {
-    match status {
-        Status::Optimal => "optimal",
-        Status::TimedOut => "timeout",
-        Status::NodeLimitReached => "node-limit",
-        Status::Cancelled => "cancelled",
-    }
-}
-
 /// The `status:` report line body: the one-word status, flagged
 /// best-effort when the answer is not proven optimal.
 fn status_report(status: Status) -> String {
     match status {
         Status::Optimal => "optimal".to_string(),
-        other => format!("{} (best-effort)", status_word(other)),
+        other => format!("{} (best-effort)", other.as_token()),
     }
 }
 
@@ -264,7 +254,7 @@ pub(crate) fn solve_on_session(session: &Session, a: &SolveArgs) -> Result<ExitC
             } => {
                 println!(
                     "watch: sub-done idx={index} k={k} size={size} status={}",
-                    status_word(status)
+                    status.as_token()
                 )
             }
             Event::Done { .. } => {}

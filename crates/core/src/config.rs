@@ -234,10 +234,18 @@ pub struct SolverConfig {
     pub word_kernel: bool,
     /// Initial-solution heuristic (Line 1 of Algorithm 2).
     pub heuristic: InitialHeuristic,
-    /// Wall-clock limit; on expiry the best solution found so far is
-    /// returned with [`crate::Status::TimedOut`].
+    /// Wall-clock limit per solve, counted from its start, heuristic and
+    /// preprocessing included, and shared by all of its restarts and ego
+    /// instances; on expiry the best solution found so far is returned
+    /// with [`crate::Status::TimedOut`].
     pub time_limit: Option<Duration>,
-    /// Search-node limit, mainly for experiments on search-tree size.
+    /// Search-node limit per solve, mainly for experiments on search-tree
+    /// size. Every restart and ego instance draws on one pool and is armed
+    /// with the nodes unspent when it starts, so a solve on one thread
+    /// visits at most this many nodes; only ego instances running at once
+    /// on several threads can overshoot it together. A search that needs
+    /// more returns the best solution found so far with
+    /// [`crate::Status::NodeLimitReached`].
     pub node_limit: Option<u64>,
     /// Cooperative cancellation: when the flag is raised, the search aborts
     /// at the next node with [`crate::Status::Cancelled`]. `None` disables

@@ -20,35 +20,44 @@
 //! finds every solution of size ≥ k + 3. The decomposition is therefore
 //! exact whenever the initial lower bound satisfies `lb ≥ k + 2` (only
 //! solutions strictly larger than `lb` remain interesting); otherwise
-//! [`solve_decomposed`] transparently falls back to the global solver.
+//! [`solve_decomposed`] continues with the sequential branch and bound.
+//!
+//! # One pipeline, one budget
+//!
+//! The decomposition replaces only line 3 of Algorithm 2. Lines 1–2 (the
+//! peeling, the heuristic, the seed, the reducer) are the solver's own
+//! prelude (see [`crate::solver`]), which also starts the solve's one
+//! [`SolveBudget`]: every ego instance runs until the solve's deadline on
+//! the nodes the solve has not yet spent, and a worker stops once the
+//! budget is exhausted or a limit or a cancellation cuts an instance
+//! short.
 //!
 //! # The shared universe and the per-worker arena
 //!
 //! All ego subproblems live inside **one** CTCP-reduced universe: the
-//! incremental reducer ([`kdc_graph::ctcp`]) is tightened once against the
-//! heuristic lower bound and extracted once as a CSR [`Graph`]
-//! (`universe_rebuilds = 1`), and the degeneracy ordering is restricted to
-//! the survivors. Each worker then owns a `SubproblemArena`: flat CSR
-//! buffers, a reusable `Marker`, and one long-lived engine re-primed per
-//! vertex via `Engine::reset`, the same priming path `Solver::solve` uses
-//! across restarts — so the per-vertex loop performs **no universe
-//! allocation in steady state** (`arena_reuses` counts exactly the
-//! instances served this way).
+//! prelude's reducer, tightened against the initial lower bound, is
+//! extracted once as a CSR [`Graph`] (`universe_rebuilds = 1`), and the
+//! degeneracy ordering is restricted to the survivors. Each worker then
+//! owns a `SubproblemArena`: flat CSR buffers, a reusable `Marker`, and one
+//! long-lived engine re-primed per vertex via `Engine::reset`, the same
+//! priming path `Solver::solve` uses across restarts — so the per-vertex
+//! loop performs **no universe allocation in steady state**
+//! (`arena_reuses` counts exactly the instances served this way).
 //!
 //! Instances are independent, so they are solved on parallel threads
 //! (std scoped threads; the incumbent size is shared through an atomic).
 //! Each worker folds its instances' search statistics into one
-//! `SearchStats`, merged into the solution's once at exit.
+//! `SearchStats` and its runs' statuses into the most severe one, both
+//! merged into the solution's once at exit.
 
 use crate::config::{InitialHeuristic, SolveEvent, SolverConfig};
 use crate::engine::Engine;
-use crate::heuristic;
+use crate::solver::{Pipeline, SolveBudget};
 use crate::stats::{SearchStats, Solution, Status};
 use kdc_graph::graph::{Graph, VertexId};
 use kdc_graph::scratch::Marker;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Per-worker reusable state for the ego-subproblem loop: universe and
 /// relabelling buffers, the flat CSR of the current instance, and one
@@ -129,17 +138,12 @@ impl SubproblemArena {
 
     /// Builds the induced-subgraph CSR of `universe` (sorting it ascending
     /// first) from the shared reduced graph, primes the engine at floor
-    /// `lb` with `v` forced into S, and runs the search. Returns whether the
-    /// run completed. This is the steady-state hot path: after warm-up it
-    /// must not touch the allocator.
+    /// `lb` with `v` forced into S, and runs the search on what is left of
+    /// `budget`. Returns whether the run completed. This is the
+    /// steady-state hot path: after warm-up it must not touch the
+    /// allocator.
     // kdc-lint: hot-path
-    pub fn solve_instance(
-        &mut self,
-        red: &Graph,
-        v: u32,
-        lb: usize,
-        deadline: Option<Instant>,
-    ) -> bool {
+    pub fn solve_instance(&mut self, red: &Graph, v: u32, lb: usize, budget: &SolveBudget) -> bool {
         self.universe.sort_unstable();
         self.csr_off.clear();
         self.csr_dat.clear();
@@ -162,16 +166,15 @@ impl SubproblemArena {
         }
         self.instances += 1;
         self.engine.reset(&self.csr_off, &self.csr_dat, lb);
-        self.engine.override_deadline(deadline);
         self.engine.force_into_s(self.local_id[v as usize]);
-        self.engine.run()
+        self.engine.run(budget)
     }
 }
 
 /// Exact maximum k-defective clique via parallel ego decomposition.
 ///
-/// `threads = 0` uses all available cores. Falls back to the sequential
-/// global [`crate::Solver`] when the initial heuristic bound is below
+/// `threads = 0` uses all available cores. Continues with the sequential
+/// branch and bound of [`crate::Solver`] when the initial bound is below
 /// `k + 2` (where the distance-2 containment argument does not apply).
 ///
 /// ```
@@ -184,42 +187,23 @@ impl SubproblemArena {
 /// assert!(sol.is_optimal());
 /// assert!(sol.vertices.len() >= planted.len());
 /// ```
-pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usize) -> Solution {
-    let t0 = std::time::Instant::now();
-    // One peeling serves both the initial heuristic and the decomposition
-    // ordering; a shared peeling from the config (resident services) makes
-    // this phase free.
-    let fresh_peeling;
-    let peeling = match &config.shared_peeling {
-        Some(shared) => shared.clone(),
-        None => {
-            fresh_peeling = std::sync::Arc::new(kdc_graph::degeneracy::peel(g));
-            fresh_peeling.clone()
-        }
+pub fn solve_decomposed(g: &Graph, k: usize, mut config: SolverConfig, threads: usize) -> Solution {
+    // The ordering is the heuristic's peeling and the containment argument
+    // needs its bound, so a solve configured without a heuristic runs Degen.
+    if config.heuristic == InitialHeuristic::None {
+        config.heuristic = InitialHeuristic::Degen;
+    }
+    let mut pipeline = Pipeline::prelude(g, k, config);
+    if pipeline.best.len() < k + 2 {
+        return pipeline.branch_and_bound();
+    }
+    let Some((red, keep)) = pipeline.next_universe() else {
+        return pipeline.finish(Status::Optimal);
     };
-    debug_assert_eq!(peeling.order.len(), g.n(), "peeling is for another graph");
-    // Initial solution — also the correctness gate; an installed seed
-    // (warm service solves) may raise it further.
-    let mut initial = match config.heuristic {
-        InitialHeuristic::None | InitialHeuristic::Degen => heuristic::degen_with(g, k, &peeling),
-        InitialHeuristic::DegenOpt => heuristic::degen_opt_with(g, k, &peeling),
-        InitialHeuristic::DegenOptLocalSearch => heuristic::degen_opt_ls_with(g, k, &peeling),
-    };
-    if let Some(seed) = &config.seed_solution {
-        if seed.len() > initial.len() && crate::solver::valid_seed(g, seed, k) {
-            initial = seed.clone();
-        }
-    }
-    if initial.len() < k + 2 {
-        return crate::Solver::new(g, k, config).solve();
-    }
-    // The fallback above emits its own events via the sequential solver;
-    // from here on this coordinator is the event source.
-    if let Some(hook) = &config.on_event {
-        hook.emit(SolveEvent::Incumbent {
-            size: initial.len(),
-        });
-    }
+    let peeling = pipeline
+        .peeling
+        .as_deref()
+        .expect("a heuristic peeled the input");
     let threads = if threads == 0 {
         std::thread::available_parallelism()
             .map(|p| p.get())
@@ -228,27 +212,10 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
         threads
     };
 
-    // One CTCP-reduced universe shared by every ego subproblem: the
-    // (possibly resident) reducer tightened to the initial bound, verified
-    // and extracted once.
-    let mut ctcp = crate::solver::resident_ctcp(g, k, &config, initial.len());
-    let (rem, red, keep) =
-        crate::solver::verified_universe(&mut ctcp, g, k, &config, initial.len());
-    let (removed_v, removed_e) = (rem.vertices.len() as u64, rem.edges);
-    let n_red = keep.len();
-    if let Some(hook) = &config.on_event {
-        if removed_v > 0 || removed_e > 0 {
-            hook.emit(SolveEvent::Retighten {
-                vertices: removed_v,
-                edges: removed_e,
-            });
-        }
-        hook.emit(SolveEvent::Restart { universe: n_red });
-    }
-
     // The input ordering restricted to the survivors (any ordering keeps
     // the containment argument valid; the degeneracy restriction keeps the
     // successor sets small), plus ranks, both in reduced ids.
+    let n_red = keep.len();
     let mut red_id: Vec<u32> = vec![u32::MAX; g.n()];
     for (i, &v) in keep.iter().enumerate() {
         red_id[v as usize] = i as u32;
@@ -265,45 +232,29 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
     for (i, &v) in order.iter().enumerate() {
         rank[v as usize] = i as u32;
     }
-    let preprocess_time = t0.elapsed();
-    let t_search = Instant::now();
 
-    let best_size = AtomicUsize::new(initial.len());
-    let best_sol: Mutex<Vec<VertexId>> = Mutex::new(initial.clone());
+    let best_size = AtomicUsize::new(pipeline.best.len());
+    let best_sol: Mutex<Vec<VertexId>> = Mutex::new(std::mem::take(&mut pipeline.best));
     let next_task = AtomicUsize::new(0);
-    let deadline = config.time_limit.map(|d| t0 + d);
-    // 0 = ran to completion, 1 = deadline expired, 2 = cancelled.
-    let abort_code = AtomicUsize::new(0);
-    // Search statistics, merged once per worker at exit (never contended
-    // inside the ego loop).
-    let totals: Mutex<SearchStats> = Mutex::new(SearchStats::default());
+    // Search statistics and the most severe run status, merged once per
+    // worker at exit (never contended inside the ego loop).
+    let totals = Mutex::new((SearchStats::default(), Status::Optimal));
+    let (config, budget) = (&pipeline.config, &pipeline.budget);
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                // The arena's engine keeps one config for its whole life;
-                // per-instance deadlines go through override_deadline, so
-                // the engine must not re-arm a relative limit on reset.
-                let mut worker_config = config.clone();
-                worker_config.time_limit = None;
-                let mut arena = SubproblemArena::new(n_red, k, worker_config);
+                let mut arena = SubproblemArena::new(n_red, k, config.clone());
                 let mut local = SearchStats::default();
+                let mut status = Status::Optimal;
                 loop {
                     let i = next_task.fetch_add(1, Ordering::Relaxed);
                     if i >= n_red {
                         break;
                     }
-                    if let Some(flag) = &config.cancel {
-                        if flag.is_cancelled() {
-                            abort_code.store(2, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            abort_code.fetch_max(1, Ordering::Relaxed);
-                            break;
-                        }
+                    if let Some(stop) = budget.exhausted() {
+                        status = stop;
+                        break;
                     }
                     let v = order[i];
                     let lb = best_size.load(Ordering::Relaxed);
@@ -336,17 +287,9 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
                     }
 
                     let ego_span = config.trace.as_ref().map(|t| t.span("ego"));
-                    let finished = arena.solve_instance(&red, v, lb, deadline);
+                    let finished = arena.solve_instance(&red, v, lb, budget);
                     drop(ego_span);
                     local.absorb(&arena.engine.stats);
-                    if !finished {
-                        let code = if arena.engine.abort_status() == Status::Cancelled {
-                            2
-                        } else {
-                            1
-                        };
-                        abort_code.fetch_max(code, Ordering::Relaxed);
-                    }
                     let found = arena.engine.best();
                     if found.len() > lb {
                         let mapped: Vec<VertexId> = found
@@ -363,36 +306,24 @@ pub fn solve_decomposed(g: &Graph, k: usize, config: SolverConfig, threads: usiz
                             *guard = mapped;
                         }
                     }
+                    if !finished {
+                        status = arena.engine.abort_status();
+                        break;
+                    }
                 }
                 local.arena_reuses = arena.reuses;
                 local.ego_subproblems = arena.instances;
-                totals.lock().expect("poisoned").absorb(&local);
+                let mut totals = totals.lock().expect("poisoned");
+                totals.0.absorb(&local);
+                totals.1 = totals.1.max(status);
             });
         }
     });
 
-    let mut vertices = best_sol.into_inner().expect("poisoned");
-    vertices.sort_unstable();
-    let status = match abort_code.load(Ordering::Relaxed) {
-        0 => Status::Optimal,
-        1 => Status::TimedOut,
-        _ => Status::Cancelled,
-    };
-    Solution {
-        vertices,
-        status,
-        stats: SearchStats {
-            initial_solution_size: initial.len(),
-            preprocessed_n: n_red,
-            preprocessed_m: red.m(),
-            ctcp_vertex_removals: removed_v,
-            ctcp_edge_removals: removed_e,
-            universe_rebuilds: 1,
-            preprocess_time,
-            search_time: t_search.elapsed(),
-            ..totals.into_inner().expect("poisoned")
-        },
-    }
+    let (totals, status) = totals.into_inner().expect("poisoned");
+    pipeline.best = best_sol.into_inner().expect("poisoned");
+    pipeline.stats.absorb(&totals);
+    pipeline.finish(status)
 }
 
 #[cfg(test)]
@@ -496,16 +427,7 @@ mod tests {
         // solve builds the shared universe exactly once, and every searched
         // ego instance beyond the first re-primes the worker's arena instead
         // of allocating a fresh one.
-        let mut rng = gen::seeded_rng(4242);
-        let g = gen::community(
-            &gen::CommunityParams {
-                communities: 8,
-                community_size: 20,
-                p_in: 0.55,
-                p_out: 0.02,
-            },
-            &mut rng,
-        );
+        let g = arena_test_graph();
         let sol = solve_decomposed(&g, 2, SolverConfig::kdc(), 1);
         assert!(sol.is_optimal());
         assert_eq!(sol.stats.universe_rebuilds, 1, "one shared universe");
@@ -530,6 +452,67 @@ mod tests {
             sol.stats.ego_subproblems - sol.stats.arena_reuses,
             sol.stats.ego_subproblems
         );
+    }
+
+    /// The graph of `steady_state_ego_loop_reuses_the_arena`.
+    fn arena_test_graph() -> Graph {
+        gen::community(
+            &gen::CommunityParams {
+                communities: 8,
+                community_size: 20,
+                p_in: 0.55,
+                p_out: 0.02,
+            },
+            &mut gen::seeded_rng(4242),
+        )
+    }
+
+    #[test]
+    fn node_limit_is_one_budget_across_ego_instances() {
+        let g = arena_test_graph();
+        let unlimited = solve_decomposed(&g, 2, SolverConfig::kdc(), 1);
+        assert!(unlimited.stats.nodes > 10, "test graph too easy");
+        for limit in [1u64, 3, 10] {
+            let cfg = SolverConfig::kdc().with_node_limit(limit);
+            let sol = solve_decomposed(&g, 2, cfg, 1);
+            assert_eq!(sol.status, Status::NodeLimitReached, "limit {limit}");
+            assert!(
+                sol.stats.nodes <= limit,
+                "limit {limit} spent {} nodes over {} instances",
+                sol.stats.nodes,
+                sol.stats.ego_subproblems
+            );
+            assert!(g.is_k_defective_clique(&sol.vertices, 2));
+        }
+        let cfg = SolverConfig::kdc().with_node_limit(3);
+        let sol = solve_decomposed(&g, 2, cfg, 2);
+        assert_eq!(sol.status, Status::NodeLimitReached);
+    }
+
+    #[test]
+    fn kdc_t_decomposes_to_the_sequential_optimum() {
+        let g = arena_test_graph();
+        for k in [1usize, 2] {
+            let sequential = crate::Solver::new(&g, k, SolverConfig::kdc_t()).solve();
+            let threaded = solve_decomposed(&g, k, SolverConfig::kdc_t(), 2);
+            assert!(threaded.is_optimal(), "k {k}");
+            assert_eq!(threaded.size(), sequential.size(), "k {k}");
+            assert!(threaded.stats.ego_subproblems > 0, "k {k}: fell back");
+        }
+    }
+
+    #[test]
+    fn traced_decomposed_solve_records_every_phase() {
+        let g = arena_test_graph();
+        let tracer = kdc_obs::Tracer::new();
+        let mut cfg = SolverConfig::kdc();
+        cfg.trace = Some(tracer.clone());
+        let sol = solve_decomposed(&g, 2, cfg, 1);
+        assert!(sol.stats.ego_subproblems > 0, "fell back");
+        let names: Vec<&str> = tracer.summary().iter().map(|p| p.name).collect();
+        for phase in ["peel", "tighten", "ego"] {
+            assert!(names.contains(&phase), "no {phase} span in {names:?}");
+        }
     }
 
     #[test]

@@ -491,6 +491,7 @@ impl Engine {
 mod tests {
     use crate::config::SolverConfig;
     use crate::engine::Engine;
+    use crate::solver::SolveBudget;
 
     fn engine(g: &kdc_graph::Graph, k: usize, cfg: SolverConfig) -> Engine {
         crate::engine::primed(g, k, cfg, 0)
@@ -671,7 +672,7 @@ mod tests {
             let g = kdc_graph::gen::gnp(18, 0.5, &mut rng);
             for k in [0usize, 2, 4] {
                 let mut exact = engine(&g, k, SolverConfig::kdc_t());
-                assert!(exact.run());
+                assert!(exact.run(&SolveBudget::default()));
                 let opt = exact.best().len();
 
                 let mut cfg = SolverConfig::kdc_t();

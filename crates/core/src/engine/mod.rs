@@ -43,8 +43,9 @@ mod reductions;
 #[cfg(test)]
 mod stress_tests;
 
-use crate::config::{BranchPolicy, SolverConfig};
-use crate::stats::SearchStats;
+use crate::config::{BranchPolicy, CancelFlag, SolverConfig};
+use crate::solver::SolveBudget;
+use crate::stats::{SearchStats, Status};
 use kdc_graph::bitset::{
     self, for_each_bit_and, for_each_bit_and_not, popcount_and, BitMatrix, BitSet,
 };
@@ -182,7 +183,7 @@ pub(crate) struct Engine {
 
     depth: usize,
     aborted: bool,
-    abort_status: crate::stats::Status,
+    abort_status: Status,
     deadline: Option<Instant>,
     node_limit: Option<u64>,
 }
@@ -230,7 +231,7 @@ impl Engine {
             rebuild_requested: false,
             depth: 0,
             aborted: false,
-            abort_status: crate::stats::Status::Optimal,
+            abort_status: Status::Optimal,
             deadline: None,
             node_limit: None,
             config,
@@ -308,9 +309,7 @@ impl Engine {
         self.depth = 0;
         self.aborted = false;
         self.rebuild_requested = false;
-        self.abort_status = crate::stats::Status::Optimal;
-        self.deadline = self.config.time_limit.map(|d| Instant::now() + d);
-        self.node_limit = self.config.node_limit;
+        self.abort_status = Status::Optimal;
     }
 
     /// The sorted universe row of `v`.
@@ -326,15 +325,9 @@ impl Engine {
         (self.adj_off[v as usize], self.adj_off[v as usize + 1])
     }
 
-    /// Replaces the deadline (e.g. to make the limit cover heuristic +
-    /// preprocessing time as in the paper's "processing time" metric).
-    pub(crate) fn override_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
-    }
-
     /// Why the search aborted (meaningful only when [`Engine::run`] returned
     /// `false`).
-    pub(crate) fn abort_status(&self) -> crate::stats::Status {
+    pub(crate) fn abort_status(&self) -> Status {
         self.abort_status
     }
 
@@ -343,10 +336,14 @@ impl Engine {
         std::mem::take(&mut self.stats)
     }
 
-    /// Runs the search from the root instance `(G, ∅)`. Returns `true` if the
-    /// search ran to completion (no limit hit).
-    pub(crate) fn run(&mut self) -> bool {
+    /// Runs the search from the root instance `(G, ∅)`, armed with the
+    /// budget's deadline and unspent nodes, and charges the nodes it visits
+    /// to the budget. Returns `true` if the search ran to completion (no
+    /// limit hit).
+    pub(crate) fn run(&mut self, budget: &SolveBudget) -> bool {
+        (self.deadline, self.node_limit) = budget.arm();
         self.search();
+        budget.charge(self.stats.nodes);
         !self.aborted
     }
 
@@ -554,32 +551,37 @@ impl Engine {
     // ---- search ------------------------------------------------------------
 
     fn search(&mut self) {
-        self.stats.nodes += 1;
-        self.stats.max_depth = self.stats.max_depth.max(self.depth);
-        // Per-node deadline check: a node costs Ω(alive) work, so the clock
+        // Per-node limit checks: a node costs Ω(alive) work, so the clock
         // read is noise, and coarser checks overshoot small limits on large
-        // instances where single nodes are milliseconds.
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.aborted = true;
-                self.abort_status = crate::stats::Status::TimedOut;
-            }
-        }
-        if let Some(limit) = self.node_limit {
-            if self.stats.nodes >= limit {
-                self.aborted = true;
-                self.abort_status = crate::stats::Status::NodeLimitReached;
-            }
-        }
-        if let Some(flag) = &self.config.cancel {
-            if flag.is_cancelled() {
-                self.aborted = true;
-                self.abort_status = crate::stats::Status::Cancelled;
-            }
-        }
-        if self.aborted {
+        // instances where single nodes are milliseconds. A refused node is
+        // not counted: a run visits at most `node_limit` nodes.
+        let stop = if self
+            .config
+            .cancel
+            .as_ref()
+            .is_some_and(CancelFlag::is_cancelled)
+        {
+            Some(Status::Cancelled)
+        } else if self
+            .node_limit
+            .is_some_and(|limit| self.stats.nodes >= limit)
+        {
+            Some(Status::NodeLimitReached)
+        } else if self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            Some(Status::TimedOut)
+        } else {
+            None
+        };
+        if let Some(status) = stop {
+            self.aborted = true;
+            self.abort_status = status;
             return;
         }
+        self.stats.nodes += 1;
+        self.stats.max_depth = self.stats.max_depth.max(self.depth);
         #[cfg(debug_assertions)]
         self.assert_invariants();
 
@@ -636,13 +638,13 @@ impl Engine {
         self.depth -= 1;
         self.undo_to(cp2);
 
-        // Right branch: exclude b.
-        self.remove_cand(b);
-        self.depth += 1;
-        self.search();
-        self.depth -= 1;
-        self.undo_to(cp2);
-
+        // Right branch: exclude b — unless the left branch aborted the run.
+        if !self.aborted {
+            self.remove_cand(b);
+            self.depth += 1;
+            self.search();
+            self.depth -= 1;
+        }
         self.undo_to(cp);
     }
 
@@ -925,7 +927,7 @@ mod tests {
     fn kdc_t_solves_cycle5() {
         // C5 with k=1 → optimum 3.
         let mut e = engine_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 1);
-        assert!(e.run());
+        assert!(e.run(&SolveBudget::default()));
         assert_eq!(e.best().len(), 3);
     }
 
@@ -937,9 +939,30 @@ mod tests {
         // k = 5: {v1..v7}.
         for (k, expected) in [(0usize, 5usize), (1, 5), (2, 6), (3, 6), (4, 6), (5, 7)] {
             let mut e = primed(&g, k, SolverConfig::kdc_t(), 0);
-            assert!(e.run());
+            assert!(e.run(&SolveBudget::default()));
             assert_eq!(e.best().len(), expected, "k = {k}");
             assert!(g.is_k_defective_clique(e.best(), k));
+        }
+    }
+
+    #[test]
+    fn node_limit_stops_before_the_right_branch() {
+        // An aborted left branch must not enter (and count) the right one.
+        let g = kdc_graph::gen::gnp(45, 0.35, &mut kdc_graph::gen::seeded_rng(93));
+        let mut unlimited = primed(&g, 2, SolverConfig::kdc_t(), 0);
+        assert!(unlimited.run(&SolveBudget::default()));
+        for limit in [1u64, 5, 20] {
+            assert!(unlimited.stats.nodes > limit, "graph too easy");
+            let mut e = primed(&g, 2, SolverConfig::kdc_t(), 0);
+            let budget = SolveBudget::new(&SolverConfig::kdc_t().with_node_limit(limit));
+            assert!(!e.run(&budget));
+            assert_eq!(e.abort_status(), Status::NodeLimitReached);
+            assert_eq!(e.stats.nodes, limit);
+            // The budget is spent: a further run stops before its root.
+            let (offsets, data) = g.csr();
+            e.reset(offsets, data, 0);
+            assert!(!e.run(&budget));
+            assert_eq!(e.stats.nodes, 0);
         }
     }
 
@@ -947,7 +970,7 @@ mod tests {
     fn lb_floor_suppresses_smaller_solutions() {
         let mut e = engine_from_edges(3, &[(0, 1), (1, 2), (0, 2)], 0);
         e.lb_floor = 3; // the triangle itself does not beat the floor
-        assert!(e.run());
+        assert!(e.run(&SolveBudget::default()));
         assert!(e.best().is_empty());
     }
 
@@ -962,7 +985,7 @@ mod tests {
                 "the scalar kernel runs on the lists"
             );
             let mut e2 = primed(&g, k, SolverConfig::kdc_t(), 0);
-            assert!(e1.run() && e2.run());
+            assert!(e1.run(&SolveBudget::default()) && e2.run(&SolveBudget::default()));
             assert_eq!(e1.best().len(), e2.best().len(), "k = {k}");
             // Identical configurations must also explore identical trees.
             assert_eq!(e1.stats.nodes, e2.stats.nodes);
@@ -1001,7 +1024,11 @@ mod tests {
             reused.reset(offsets, data, 3);
             assert_eq!(reused.word_kernel_active(), dense_fits(n), "n = {n}");
             let mut fresh = primed(&g, 2, cfg.clone(), 3);
-            assert_eq!(reused.run(), fresh.run(), "n = {n}");
+            assert_eq!(
+                reused.run(&SolveBudget::default()),
+                fresh.run(&SolveBudget::default()),
+                "n = {n}"
+            );
             assert_eq!(reused.best(), fresh.best(), "n = {n}");
             assert_eq!(reused.stats.nodes, fresh.stats.nodes, "n = {n}");
             assert_eq!(reused.stats.leaves, fresh.stats.leaves, "n = {n}");

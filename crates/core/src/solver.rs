@@ -1,4 +1,4 @@
-//! The top-level kDC solver (Algorithm 2):
+//! The top-level kDC solver (Algorithm 2), one pipeline per solve:
 //!
 //! 1. heuristically compute a large initial k-defective clique (§3.3);
 //! 2. reduce the input graph with RR5 (core) and RR6 (truss) using the
@@ -8,20 +8,28 @@
 //!    the incumbent improves mid-search, re-tighten the reducer; if that
 //!    removes anything, restart on the (strictly smaller) universe.
 //!
-//! Each universe is extracted from the reducer as a CSR [`Graph`], and one
-//! engine per solve is re-primed from it via `Engine::reset` on every
-//! restart, the same priming path the decomposition arena uses.
+//! Lines 1–2 are one prelude, run by [`Solver::solve`], by the ego
+//! decomposition ([`crate::decompose::solve_decomposed`], which replaces
+//! only line 3) and by [`preprocess_report`]. Each universe is extracted
+//! from the reducer as a CSR [`Graph`], and one engine per solve is
+//! re-primed from it via `Engine::reset` on every restart, the same priming
+//! path the decomposition arena uses.
+//!
+//! The prelude also starts the solve's one [`SolveBudget`]: the time limit
+//! is a deadline counted from the solve's start, and the node limit is a
+//! pool that every engine run (each restart, each ego instance) draws from,
+//! so both limits hold for the solve as a whole.
 //!
 //! Long-running services install a resident reducer + best-known witness
 //! via [`SolverConfig::shared_ctcp`] / [`SolverConfig::seed_solution`], so
 //! warm solves resume tightening where the previous solve stopped.
 
-use crate::config::{InitialHeuristic, SolveEvent, SolverConfig};
+use crate::config::{CancelFlag, EventHook, InitialHeuristic, SolveEvent, SolverConfig};
 use crate::engine::Engine;
 use crate::heuristic;
 use crate::stats::{SearchStats, Solution, Status};
 use kdc_graph::ctcp::{Ctcp, Removals};
-use kdc_graph::degeneracy;
+use kdc_graph::degeneracy::{self, Peeling};
 use kdc_graph::graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -53,15 +61,108 @@ impl<'g> Solver<'g> {
     /// Runs the solve and returns the best solution found together with its
     /// optimality status and search statistics.
     pub fn solve(self) -> Solution {
-        let Solver { graph, k, config } = self;
-        let t_start = Instant::now();
-        let deadline = config.time_limit.map(|d| t_start + d);
+        Pipeline::prelude(self.graph, self.k, self.config).branch_and_bound()
+    }
+}
 
-        // Line 1 of Algorithm 2: initial solution, possibly beaten by an
-        // installed known-solution seed (warm service solves).
-        let trace = config.trace.clone();
-        let peel_span = trace.as_ref().map(|t| t.span("peel"));
-        let mut best = initial_solution(graph, k, &config);
+/// The limits of one solve, shared by all of its engine runs: the time
+/// limit as a deadline fixed when the solve starts, the node limit as a
+/// pool each run draws from, and the cancel flag. The [`Default`] budget is
+/// unlimited.
+#[derive(Debug, Default)]
+pub struct SolveBudget {
+    deadline: Option<Instant>,
+    node_limit: Option<u64>,
+    spent: AtomicU64,
+    cancel: Option<CancelFlag>,
+}
+
+impl SolveBudget {
+    /// Starts the clock on `config`'s time and node limits.
+    pub fn new(config: &SolverConfig) -> Self {
+        SolveBudget {
+            deadline: config
+                .time_limit
+                .and_then(|d| Instant::now().checked_add(d)),
+            node_limit: config.node_limit,
+            spent: AtomicU64::new(0),
+            cancel: config.cancel.clone(),
+        }
+    }
+
+    /// Why no further engine run may start, if any: a raised cancel flag,
+    /// a passed deadline or a spent node pool.
+    pub(crate) fn exhausted(&self) -> Option<Status> {
+        if self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled) {
+            Some(Status::Cancelled)
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(Status::TimedOut)
+        } else {
+            (self.arm().1 == Some(0)).then_some(Status::NodeLimitReached)
+        }
+    }
+
+    /// The deadline and the nodes not yet spent, to arm one engine run.
+    pub(crate) fn arm(&self) -> (Option<Instant>, Option<u64>) {
+        let spent = self.spent.load(Ordering::Relaxed);
+        (
+            self.deadline,
+            self.node_limit.map(|l| l.saturating_sub(spent)),
+        )
+    }
+
+    /// Books the nodes one engine run visited.
+    pub(crate) fn charge(&self, nodes: u64) {
+        self.spent.fetch_add(nodes, Ordering::Relaxed);
+    }
+}
+
+/// One solve once its prelude (lines 1–2 of Algorithm 2) has run: the
+/// incumbent, the reducer and the budget that line 3 continues from,
+/// sequentially ([`Pipeline::branch_and_bound`]) or per ego instance.
+pub(crate) struct Pipeline<'g> {
+    pub(crate) graph: &'g Graph,
+    pub(crate) k: usize,
+    pub(crate) config: SolverConfig,
+    pub(crate) budget: SolveBudget,
+    /// The input peeling the heuristic ran on; `None` only when no
+    /// heuristic ran and none was shared.
+    pub(crate) peeling: Option<Arc<Peeling>>,
+    /// The incumbent, in input ids.
+    pub(crate) best: Vec<VertexId>,
+    /// Universe extractions, plus every engine run folded in by line 3.
+    pub(crate) stats: SearchStats,
+    ctcp: Arc<Mutex<Ctcp>>,
+    /// Removals (vertices, edges) this solve made. A resident reducer also
+    /// serves concurrent solves, so its own counters cannot be attributed
+    /// to this one; shared with the engine's improvement hook.
+    removed: Arc<(AtomicU64, AtomicU64)>,
+    started: Instant,
+    searching: Instant,
+}
+
+impl<'g> Pipeline<'g> {
+    /// Lines 1–2 of Algorithm 2: the shared or a fresh peeling, the
+    /// configured heuristic (possibly beaten by a validated seed), then the
+    /// resident or a private reducer tightened to that bound.
+    pub(crate) fn prelude(graph: &'g Graph, k: usize, config: SolverConfig) -> Self {
+        let started = Instant::now();
+        let budget = SolveBudget::new(&config);
+        let peel_span = config.trace.as_ref().map(|t| t.span("peel"));
+        let peeling = match &config.shared_peeling {
+            Some(shared) => Some(Arc::clone(shared)),
+            None if config.heuristic == InitialHeuristic::None => None,
+            None => Some(Arc::new(degeneracy::peel(graph))),
+        };
+        debug_assert!(peeling.as_ref().is_none_or(|p| p.order.len() == graph.n()));
+        let mut best = match (peeling.as_deref(), config.heuristic) {
+            (None, _) | (_, InitialHeuristic::None) => Vec::new(),
+            (Some(p), InitialHeuristic::Degen) => heuristic::degen_with(graph, k, p),
+            (Some(p), InitialHeuristic::DegenOpt) => heuristic::degen_opt_with(graph, k, p),
+            (Some(p), InitialHeuristic::DegenOptLocalSearch) => {
+                heuristic::degen_opt_ls_with(graph, k, p)
+            }
+        };
         drop(peel_span);
         debug_assert!(graph.is_k_defective_clique(&best, k));
         if let Some(seed) = &config.seed_solution {
@@ -75,130 +176,136 @@ impl<'g> Solver<'g> {
                 hook.emit(SolveEvent::Incumbent { size: lb0 });
             }
         }
-
-        // Line 2: preprocessing through the (possibly resident) incremental
-        // CTCP reducer. Removals are counted per-solve through the shared
-        // pair of atomics (a resident reducer also serves concurrent
-        // solves, so its global counters cannot be attributed to this run).
-        let mut stats = SearchStats::default();
-        let mut ctcp = resident_ctcp(graph, k, &config, lb0);
-        let removed = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+        let mut pipeline = Pipeline {
+            ctcp: resident_ctcp(graph, k, &config, lb0),
+            removed: Arc::default(),
+            graph,
+            k,
+            config,
+            budget,
+            peeling,
+            best,
+            stats: SearchStats {
+                initial_solution_size: lb0,
+                ..SearchStats::default()
+            },
+            started,
+            searching: started,
+        };
         {
-            let _tighten_span = trace.as_ref().map(|t| t.span("tighten"));
-            let mut c = ctcp.lock().expect("poisoned");
-            let rem = c.tighten(lb0);
-            if !rem.is_empty() {
-                if let Some(hook) = &config.on_event {
-                    hook.emit(SolveEvent::Retighten {
-                        vertices: rem.vertices.len() as u64,
-                        edges: rem.edges,
-                    });
-                }
-            }
-            removed
-                .0
-                .fetch_add(rem.vertices.len() as u64, Ordering::Relaxed);
-            removed.1.fetch_add(rem.edges, Ordering::Relaxed);
+            let _tighten_span = pipeline.config.trace.as_ref().map(|t| t.span("tighten"));
+            let rem = pipeline.ctcp.lock().expect("poisoned").tighten(lb0);
+            book_removals(&pipeline.removed, pipeline.config.on_event.as_ref(), &rem);
         }
-        let preprocess_time = t_start.elapsed();
+        pipeline.searching = Instant::now();
+        pipeline
+    }
 
-        // Line 3: branch and bound over the reduced universe. Whenever the
-        // incumbent improves, the engine re-tightens the reducer through the
-        // improvement hook; if that shrinks the universe, the run aborts and
-        // restarts on the smaller instance (each restart is paid for by at
-        // least one removal, so there are at most n + m of them). Every
-        // restart re-primes the same engine.
-        let t_search = Instant::now();
-        let mut engine = Engine::hollow(k, config.clone());
-        let status;
-        loop {
-            // A caller-proven upper bound met by the incumbent ends the
-            // search: nothing larger exists, so the incumbent is optimal.
-            // Checked before each (re)build, so a capped warm solve seeded
-            // at the cap never extracts a universe at all.
-            if config.known_ub.is_some_and(|ub| best.len() >= ub) {
-                status = Status::Optimal;
-                break;
-            }
-            let (rem, universe, keep) = verified_universe(&mut ctcp, graph, k, &config, best.len());
-            removed
-                .0
-                .fetch_add(rem.vertices.len() as u64, Ordering::Relaxed);
-            removed.1.fetch_add(rem.edges, Ordering::Relaxed);
-            stats.universe_rebuilds += 1;
-            if stats.universe_rebuilds == 1 {
-                stats.preprocessed_n = keep.len();
-                stats.preprocessed_m = universe.m();
-            }
-            if let Some(hook) = &config.on_event {
-                hook.emit(SolveEvent::Restart {
-                    universe: keep.len(),
-                });
-            }
+    /// The next universe to search with its new → old id map, announced by
+    /// a `Restart` event; `None` once the incumbent meets a caller-proven
+    /// upper bound, which makes it optimal without a search.
+    pub(crate) fn next_universe(&mut self) -> Option<(Graph, Vec<VertexId>)> {
+        if self.config.known_ub.is_some_and(|ub| self.best.len() >= ub) {
+            return None;
+        }
+        // Atomically tighten, verify and extract. A resident reducer may
+        // already have been tightened past our bound by a concurrent solve,
+        // so its universe may miss solutions larger than *our* incumbent:
+        // then a private reducer serves the rest of this solve.
+        let lb = self.best.len();
+        let mut c = self.ctcp.lock().expect("poisoned");
+        let mut rem = c.tighten(lb);
+        if c.lb() > lb {
+            drop(c);
+            let mut private = fresh_ctcp(self.graph, self.k, &self.config);
+            rem = private.tighten(lb);
+            self.ctcp = Arc::new(Mutex::new(private));
+            c = self.ctcp.lock().expect("poisoned");
+        }
+        let (universe, keep) = c.extract_universe();
+        drop(c);
+        book_removals(&self.removed, self.config.on_event.as_ref(), &rem);
+        self.stats.universe_rebuilds += 1;
+        if self.stats.universe_rebuilds == 1 {
+            self.stats.preprocessed_n = keep.len();
+            self.stats.preprocessed_m = universe.m();
+        }
+        if let Some(hook) = &self.config.on_event {
+            hook.emit(SolveEvent::Restart {
+                universe: keep.len(),
+            });
+        }
+        Some((universe, keep))
+    }
+
+    /// Line 3, sequentially: branch and bound over the reduced universe.
+    /// Whenever the incumbent improves, the engine re-tightens the reducer
+    /// through the improvement hook; if that shrinks the universe, the run
+    /// aborts and restarts on the smaller instance (each restart is paid
+    /// for by at least one removal, so there are at most n + m of them).
+    /// Every restart re-primes the same engine.
+    pub(crate) fn branch_and_bound(mut self) -> Solution {
+        let mut engine = Engine::hollow(self.k, self.config.clone());
+        let status = loop {
+            let Some((universe, keep)) = self.next_universe() else {
+                break Status::Optimal;
+            };
             let (offsets, data) = universe.csr();
-            engine.reset(offsets, data, best.len());
-            engine.override_deadline(deadline);
-            // Installed after every `verified_universe`: its fallback may have
+            engine.reset(offsets, data, self.best.len());
+            // Installed after every `next_universe`: its fallback may have
             // swapped `ctcp` for a private reducer, which the hook must tighten.
-            let hook_ctcp = Arc::clone(&ctcp);
-            let hook_removed = Arc::clone(&removed);
-            let hook_events = config.on_event.clone();
-            let hook_trace = trace.clone();
-            let hook_cap = config.known_ub;
-            engine.set_improve_hook(Box::new(move |new_lb| {
-                if let Some(events) = &hook_events {
-                    events.emit(SolveEvent::Incumbent { size: new_lb });
-                }
-                let _tighten_span = hook_trace.as_ref().map(|t| t.span("tighten"));
-                let rem = hook_ctcp.lock().expect("poisoned").tighten(new_lb);
-                hook_removed
-                    .0
-                    .fetch_add(rem.vertices.len() as u64, Ordering::Relaxed);
-                hook_removed.1.fetch_add(rem.edges, Ordering::Relaxed);
-                if !rem.is_empty() {
-                    if let Some(events) = &hook_events {
-                        events.emit(SolveEvent::Retighten {
-                            vertices: rem.vertices.len() as u64,
-                            edges: rem.edges,
-                        });
-                    }
-                    true
-                } else {
-                    // Reaching the known upper bound aborts the engine via
-                    // the rebuild path; the loop head then declares
-                    // optimality instead of rebuilding.
-                    hook_cap.is_some_and(|ub| new_lb >= ub)
-                }
-            }));
-            let branch_span = trace.as_ref().map(|t| t.span("branch"));
-            let completed = engine.run();
+            engine.set_improve_hook(self.improve_hook());
+            let branch_span = self.config.trace.as_ref().map(|t| t.span("branch"));
+            let completed = engine.run(&self.budget);
             drop(branch_span);
-            if engine.best().len() > best.len() {
-                best = engine.best().iter().map(|&v| keep[v as usize]).collect();
+            if engine.best().len() > self.best.len() {
+                self.best = engine.best().iter().map(|&v| keep[v as usize]).collect();
             }
-            stats.absorb(&engine.take_stats());
+            self.stats.absorb(&engine.take_stats());
             if completed {
-                status = Status::Optimal;
-                break;
+                break Status::Optimal;
             }
-            if engine.rebuild_requested() {
-                continue;
+            if !engine.rebuild_requested() {
+                break engine.abort_status();
             }
-            status = engine.abort_status();
-            break;
-        }
-        let search_time = t_search.elapsed();
+        };
+        self.finish(status)
+    }
 
-        let mut vertices = best;
+    /// The engine's improvement hook: report the incumbent, re-tighten the
+    /// reducer to it, and ask for a rebuild when that removed anything.
+    fn improve_hook(&self) -> Box<dyn FnMut(usize) -> bool + Send> {
+        let ctcp = Arc::clone(&self.ctcp);
+        let removed = Arc::clone(&self.removed);
+        let events = self.config.on_event.clone();
+        let trace = self.config.trace.clone();
+        let cap = self.config.known_ub;
+        Box::new(move |new_lb| {
+            if let Some(events) = &events {
+                events.emit(SolveEvent::Incumbent { size: new_lb });
+            }
+            let _tighten_span = trace.as_ref().map(|t| t.span("tighten"));
+            let rem = ctcp.lock().expect("poisoned").tighten(new_lb);
+            book_removals(&removed, events.as_ref(), &rem);
+            // Reaching the known upper bound aborts the engine via the
+            // rebuild path; `next_universe` then declares optimality.
+            !rem.is_empty() || cap.is_some_and(|ub| new_lb >= ub)
+        })
+    }
+
+    /// The solve's answer: the incumbent as a sorted witness, the solve's
+    /// statistics (the prelude's included) and `status`.
+    pub(crate) fn finish(self, status: Status) -> Solution {
+        let mut vertices = self.best;
         vertices.sort_unstable();
-        debug_assert!(graph.is_k_defective_clique(&vertices, k));
-
-        stats.ctcp_vertex_removals = removed.0.load(Ordering::Relaxed);
-        stats.ctcp_edge_removals = removed.1.load(Ordering::Relaxed);
-        stats.initial_solution_size = lb0;
-        stats.preprocess_time = preprocess_time;
-        stats.search_time = search_time;
-
+        debug_assert!(self.graph.is_k_defective_clique(&vertices, self.k));
+        let stats = SearchStats {
+            ctcp_vertex_removals: self.removed.0.load(Ordering::Relaxed),
+            ctcp_edge_removals: self.removed.1.load(Ordering::Relaxed),
+            preprocess_time: self.searching - self.started,
+            search_time: self.searching.elapsed(),
+            ..self.stats
+        };
         Solution {
             vertices,
             status,
@@ -207,39 +314,29 @@ impl<'g> Solver<'g> {
     }
 }
 
-/// Atomically tightens `ctcp` to `lb`, verifies it, and extracts its
-/// universe; returns what the tightening removed plus the universe graph and
-/// its new → old id map. A resident reducer may already have been tightened
-/// past `lb` by a concurrent solve, in which case its universe no longer
-/// contains every solution larger than *our* bound: `ctcp` is then replaced
-/// by a private reducer tightened to `lb`, for the rest of this solve.
-pub(crate) fn verified_universe(
-    ctcp: &mut Arc<Mutex<Ctcp>>,
-    g: &Graph,
-    k: usize,
-    config: &SolverConfig,
-    lb: usize,
-) -> (Removals, Graph, Vec<VertexId>) {
-    {
-        let mut c = ctcp.lock().expect("poisoned");
-        let rem = c.tighten(lb);
-        if c.lb() <= lb {
-            let (universe, keep) = c.extract_universe();
-            return (rem, universe, keep);
-        }
+/// Books reducer removals to this solve and reports non-empty ones as a
+/// `Retighten` event.
+fn book_removals(removed: &(AtomicU64, AtomicU64), events: Option<&EventHook>, rem: &Removals) {
+    removed
+        .0
+        .fetch_add(rem.vertices.len() as u64, Ordering::Relaxed);
+    removed.1.fetch_add(rem.edges, Ordering::Relaxed);
+    if rem.is_empty() {
+        return;
     }
-    let mut private = Ctcp::with_rules(g, k, config.enable_rr5, config.enable_rr6);
-    let rem = private.tighten(lb);
-    let (universe, keep) = private.extract_universe();
-    *ctcp = Arc::new(Mutex::new(private));
-    (rem, universe, keep)
+    if let Some(events) = events {
+        events.emit(SolveEvent::Retighten {
+            vertices: rem.vertices.len() as u64,
+            edges: rem.edges,
+        });
+    }
 }
 
 /// Whether `seed` is a usable known solution for `(g, k)`: in-range,
 /// duplicate-free and k-defective. Seeds travel across service boundaries,
 /// so they are fully validated rather than trusted. Range and duplicates
 /// are checked *before* the clique test, which would panic on either.
-pub(crate) fn valid_seed(g: &Graph, seed: &[VertexId], k: usize) -> bool {
+fn valid_seed(g: &Graph, seed: &[VertexId], k: usize) -> bool {
     if seed.iter().any(|&v| v as usize >= g.n()) {
         return false;
     }
@@ -253,12 +350,7 @@ pub(crate) fn valid_seed(g: &Graph, seed: &[VertexId], k: usize) -> bool {
 /// matches this graph, `k`, rule configuration and can be resumed at `lb`
 /// (its recorded bound must not exceed what this solve justifies); a fresh
 /// one otherwise.
-pub(crate) fn resident_ctcp(
-    g: &Graph,
-    k: usize,
-    config: &SolverConfig,
-    lb: usize,
-) -> Arc<Mutex<Ctcp>> {
+fn resident_ctcp(g: &Graph, k: usize, config: &SolverConfig, lb: usize) -> Arc<Mutex<Ctcp>> {
     if let Some(shared) = &config.shared_ctcp {
         let usable = {
             let c = shared.lock().expect("poisoned");
@@ -271,12 +363,12 @@ pub(crate) fn resident_ctcp(
             return Arc::clone(shared);
         }
     }
-    Arc::new(Mutex::new(Ctcp::with_rules(
-        g,
-        k,
-        config.enable_rr5,
-        config.enable_rr6,
-    )))
+    Arc::new(Mutex::new(fresh_ctcp(g, k, config)))
+}
+
+/// A new reducer for `(g, k)` under `config`'s RR5/RR6 switches.
+fn fresh_ctcp(g: &Graph, k: usize, config: &SolverConfig) -> Ctcp {
+    Ctcp::with_rules(g, k, config.enable_rr5, config.enable_rr6)
 }
 
 /// Convenience wrapper: solve with the default kDC configuration.
@@ -298,36 +390,15 @@ pub struct PreprocessReport {
 
 /// Runs the heuristic and the RR5/RR6 preprocessing without searching.
 pub fn preprocess_report(graph: &Graph, k: usize, config: &SolverConfig) -> PreprocessReport {
-    let initial = initial_solution(graph, k, config);
-    let mut ctcp = Ctcp::with_rules(graph, k, config.enable_rr5, config.enable_rr6);
-    ctcp.tighten(initial.len());
-    PreprocessReport {
-        initial,
-        n0: ctcp.alive_n(),
-        m0: ctcp.alive_m(),
-    }
-}
-
-/// Line 1 of Algorithm 2: the configured initial-solution heuristic. Reuses
-/// the config's shared peeling of the input graph when one is installed
-/// (resident services cache it per graph), peeling from scratch otherwise.
-pub(crate) fn initial_solution(graph: &Graph, k: usize, config: &SolverConfig) -> Vec<VertexId> {
-    if config.heuristic == InitialHeuristic::None {
-        return Vec::new();
-    }
-    let fresh;
-    let peeling = match &config.shared_peeling {
-        Some(shared) => shared.as_ref(),
-        None => {
-            fresh = degeneracy::peel(graph);
-            &fresh
-        }
+    let pipeline = Pipeline::prelude(graph, k, config.clone());
+    let (n0, m0) = {
+        let ctcp = pipeline.ctcp.lock().expect("poisoned");
+        (ctcp.alive_n(), ctcp.alive_m())
     };
-    match config.heuristic {
-        InitialHeuristic::None => unreachable!("handled above"),
-        InitialHeuristic::Degen => heuristic::degen_with(graph, k, peeling),
-        InitialHeuristic::DegenOpt => heuristic::degen_opt_with(graph, k, peeling),
-        InitialHeuristic::DegenOptLocalSearch => heuristic::degen_opt_ls_with(graph, k, peeling),
+    PreprocessReport {
+        initial: pipeline.best,
+        n0,
+        m0,
     }
 }
 
@@ -422,6 +493,36 @@ mod tests {
         assert_eq!(sol.status, Status::NodeLimitReached);
         // Best-effort solution is still valid.
         assert!(g.is_k_defective_clique(&sol.vertices, 3));
+    }
+
+    #[test]
+    fn node_limit_is_one_budget_across_restarts() {
+        // No heuristic: the incumbent rises from zero and every improvement
+        // that re-tightens the reducer restarts the engine on a smaller
+        // universe, which must not re-arm the node limit.
+        let mut rng = gen::seeded_rng(93);
+        for trial in 0..4 {
+            let g = gen::gnp(45, 0.35, &mut rng);
+            for k in [0usize, 2] {
+                let mut cfg = SolverConfig::kdc();
+                cfg.heuristic = InitialHeuristic::None;
+                let unlimited = Solver::new(&g, k, cfg.clone()).solve();
+                assert!(unlimited.is_optimal());
+                for limit in [1u64, 5, 20, 50] {
+                    let sol = Solver::new(&g, k, cfg.clone().with_node_limit(limit)).solve();
+                    let at = format!("trial {trial} k {k} limit {limit}");
+                    assert!(sol.stats.nodes <= limit, "{at}: {} nodes", sol.stats.nodes);
+                    if unlimited.stats.nodes > limit {
+                        assert_eq!(sol.status, Status::NodeLimitReached, "{at}");
+                    } else {
+                        assert!(sol.is_optimal(), "{at}");
+                        assert_eq!(sol.vertices, unlimited.vertices, "{at}");
+                        assert_eq!(sol.stats.nodes, unlimited.stats.nodes, "{at}");
+                    }
+                    assert!(g.is_k_defective_clique(&sol.vertices, k));
+                }
+            }
+        }
     }
 
     #[test]

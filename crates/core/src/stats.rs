@@ -4,14 +4,18 @@ use kdc_graph::VertexId;
 use std::time::Duration;
 
 /// Termination status of a solve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// Variants are ordered by severity (`Optimal` < `NodeLimitReached` <
+/// `TimedOut` < `Cancelled`), so `max` folds the statuses of several runs
+/// into one that is `Optimal` only when every run was.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Status {
     /// The returned solution is a maximum k-defective clique.
     Optimal,
-    /// The wall-clock limit expired; the returned solution is the best found.
-    TimedOut,
     /// The node limit was reached; the returned solution is the best found.
     NodeLimitReached,
+    /// The wall-clock limit expired; the returned solution is the best found.
+    TimedOut,
     /// The solve was cancelled via [`crate::config::CancelFlag`]; the
     /// returned solution is the best found before cancellation.
     Cancelled,
@@ -331,6 +335,17 @@ mod tests {
             assert_eq!(Status::parse_token(status.as_token()).unwrap(), status);
         }
         assert!(Status::parse_token("done").is_err());
+    }
+
+    #[test]
+    fn status_max_is_the_most_severe() {
+        use Status::*;
+        let by_severity = [Optimal, NodeLimitReached, TimedOut, Cancelled];
+        for (i, &a) in by_severity.iter().enumerate() {
+            for (j, &b) in by_severity.iter().enumerate() {
+                assert_eq!(a.max(b), by_severity[i.max(j)], "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

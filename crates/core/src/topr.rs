@@ -11,7 +11,7 @@
 
 use crate::config::SolverConfig;
 use crate::engine::Engine;
-use crate::solver::Solver;
+use crate::solver::{SolveBudget, Solver};
 use crate::stats::Status;
 use kdc_graph::graph::{Graph, VertexId};
 
@@ -56,12 +56,12 @@ pub fn top_r_maximal_with_status(
     assert!(r > 0, "r must be positive");
     // Enumeration must not discard solutions via a precomputed lower bound,
     // so no heuristic floor and no lb-driven preprocessing are used.
+    let budget = SolveBudget::new(&config);
     let mut engine = Engine::hollow(k, config);
     let (offsets, data) = g.csr();
     engine.reset(offsets, data, 0);
     engine.enable_pool(r);
-    let completed = engine.run();
-    let status = if completed {
+    let status = if engine.run(&budget) {
         Status::Optimal
     } else {
         engine.abort_status()

@@ -352,25 +352,6 @@ impl Ctcp {
         self.counted = true;
     }
 
-    /// Applies a whole schedule of lower-bound steps in one queue drain:
-    /// a single [`Ctcp::tighten`] at the schedule's maximum, which is
-    /// semantically identical to calling `tighten` once per entry (in any
-    /// order — tighten clamps to the running maximum; parity-tested in
-    /// `tests/ctcp_prop.rs`) but pays one bucket sweep and one propagation
-    /// pass instead of one per step. The schedule may arrive unsorted and
-    /// with duplicates: reducing by maximum subsumes any sort + dedup, so
-    /// callers holding several pending incumbent improvements (a decompose
-    /// worker draining a shared incumbent, a batch sweep merging the
-    /// witness sizes of its sub-queries, a warm service folding queued
-    /// bounds) hand them over without pre-reducing; an empty slice is a
-    /// no-op.
-    pub fn tighten_batch(&mut self, lbs: &[usize]) -> Removals {
-        match lbs.iter().copied().max() {
-            Some(lb) => self.tighten(lb),
-            None => Removals::default(),
-        }
-    }
-
     /// Files `v` under its (just decremented) degree, or queues it for
     /// removal when it crossed the active threshold. A no-op in the core
     /// phase and with the core rule off: no vertex buckets exist then.
@@ -664,6 +645,7 @@ mod tests {
         c.tighten(6);
         let alive = c.alive_vertices();
         assert!(c.tighten(3).is_empty(), "lower lb must be a no-op");
+        assert!(c.tighten(6).is_empty(), "repeated lb must be a no-op");
         assert_eq!(c.alive_vertices(), alive);
         assert_eq!(c.lb(), 6);
     }
@@ -716,7 +698,10 @@ mod tests {
     }
 
     #[test]
-    fn tighten_batch_matches_sequential_tighten() {
+    fn tighten_at_schedule_max_matches_sequential_tighten() {
+        // A pending schedule of bounds needs one `tighten` at its maximum:
+        // the reducer clamps to the running maximum, so stepping through a
+        // non-monotone schedule lands on the same state and removals.
         let mut rng = gen::seeded_rng(303);
         for trial in 0..8 {
             let g = gen::gnp(45, 0.25, &mut rng);
@@ -729,14 +714,14 @@ mod tests {
                     total.vertices.extend(rem.vertices);
                     total.edges += rem.edges;
                 }
-                let mut batched = Ctcp::new(&g, k);
-                let rem = batched.tighten_batch(&schedule);
+                let mut once = Ctcp::new(&g, k);
+                let rem = once.tighten(8);
                 assert_eq!(
-                    batched.alive_vertices(),
+                    once.alive_vertices(),
                     sequential.alive_vertices(),
                     "trial {trial} k {k}"
                 );
-                assert_eq!(batched.lb(), sequential.lb());
+                assert_eq!(once.lb(), sequential.lb());
                 assert_eq!(rem.edges, total.edges, "trial {trial} k {k}");
                 // The removed vertex *sets* agree (order may differ: one
                 // drain visits the buckets in a different sequence).
@@ -745,7 +730,7 @@ mod tests {
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "trial {trial} k {k}");
-                let (universe_a, _) = batched.extract_universe();
+                let (universe_a, _) = once.extract_universe();
                 let (universe_b, _) = sequential.extract_universe();
                 assert_eq!(
                     universe_a, universe_b,
@@ -753,54 +738,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn tighten_batch_accepts_unsorted_and_duplicate_schedules() {
-        // The merged schedules a batch sweep hands over arrive in sub-query
-        // completion order with repeated witness sizes; the reducer state
-        // must be byte-identical to the canonical sorted + deduped call.
-        let mut rng = gen::seeded_rng(304);
-        for trial in 0..6 {
-            let g = gen::gnp(40, 0.3, &mut rng);
-            for k in 0..3usize {
-                let messy = [5usize, 3, 5, 8, 3, 8, 4];
-                let mut sorted: Vec<usize> = messy.to_vec();
-                sorted.sort_unstable();
-                sorted.dedup();
-
-                let mut a = Ctcp::new(&g, k);
-                let rem_a = a.tighten_batch(&messy);
-                let mut b = Ctcp::new(&g, k);
-                let rem_b = b.tighten_batch(&sorted);
-
-                assert_eq!(a.lb(), b.lb(), "trial {trial} k {k}");
-                assert_eq!(a.alive_vertices(), b.alive_vertices());
-                assert_eq!(rem_a.edges, rem_b.edges, "trial {trial} k {k}");
-                let mut va = rem_a.vertices.clone();
-                let mut vb = rem_b.vertices.clone();
-                va.sort_unstable();
-                vb.sort_unstable();
-                assert_eq!(va, vb, "trial {trial} k {k}");
-                assert_eq!(
-                    a.extract_universe(),
-                    b.extract_universe(),
-                    "trial {trial} k {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tighten_batch_edge_cases() {
-        let g = gen::complete(5);
-        let mut c = Ctcp::new(&g, 1);
-        assert!(c.tighten_batch(&[]).is_empty(), "empty schedule is a no-op");
-        assert_eq!(c.lb(), 0);
-        c.tighten(6);
-        // A batch entirely below the current bound is clamped away.
-        assert!(c.tighten_batch(&[1, 2, 3]).is_empty());
-        assert_eq!(c.lb(), 6);
     }
 
     #[test]

@@ -108,7 +108,7 @@ proptest! {
     }
 
     #[test]
-    fn tighten_batch_is_equivalent_to_the_sequential_schedule(
+    fn tighten_at_schedule_max_is_equivalent_to_the_sequential_schedule(
         seed in 0u64..10_000,
         n in 12usize..40,
         k in 0usize..3,
@@ -128,7 +128,7 @@ proptest! {
             removed_vertices.extend(rem.vertices);
         }
         let mut batched = Ctcp::new(&g, k);
-        let rem = batched.tighten_batch(&schedule);
+        let rem = batched.tighten(a.max(b).max(c));
         prop_assert_eq!(batched.lb(), sequential.lb());
         prop_assert_eq!(batched.alive_vertices(), sequential.alive_vertices());
         prop_assert_eq!(rem.edges, removed_edges);
@@ -197,13 +197,16 @@ proptest! {
         let g = hub_graph(seed, n, avg_deg, 22);
         for rules in RULES {
             let mut c = Ctcp::with_rules(&g, k, rules.0, rules.1);
-            c.tighten_batch(&[first.min(k + 1)]);
+            c.tighten(first.min(k + 1));
             let mut lb = first.min(k + 1);
             assert_at_fixpoint(&c, &g, lb, rules)?;
             // Unsorted batches with duplicates, possibly empty, possibly
-            // entirely below the bound already applied.
+            // entirely below the bound already applied: one tighten at the
+            // batch maximum each.
             for batch in &batches {
-                c.tighten_batch(batch);
+                if let Some(&max) = batch.iter().max() {
+                    c.tighten(max);
+                }
                 lb = batch.iter().copied().fold(lb, usize::max);
                 assert_at_fixpoint(&c, &g, lb, rules)?;
             }

@@ -18,6 +18,7 @@
 //! workspace needs `unsafe`, and it is test-only code.
 
 use kdc::decompose::SubproblemArena;
+use kdc::solver::SolveBudget;
 use kdc::SolverConfig;
 use kdc_graph::ctcp::Ctcp;
 use kdc_graph::{gen, Graph};
@@ -75,6 +76,7 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// v ∪ N(v) in reduced ids, exactly like the decomposition worker's
 /// distance-≤2 build but deterministic and self-contained.
 fn ego_pass(arena: &mut SubproblemArena, g: &Graph, lb: usize) -> u64 {
+    let budget = SolveBudget::default();
     let mut solved = 0;
     for v in g.vertices() {
         arena.begin_instance();
@@ -88,7 +90,7 @@ fn ego_pass(arena: &mut SubproblemArena, g: &Graph, lb: usize) -> u64 {
             }
         }
         if arena.universe_len() > lb {
-            arena.solve_instance(g, v, lb, None);
+            arena.solve_instance(g, v, lb, &budget);
             solved += 1;
         }
     }

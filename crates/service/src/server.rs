@@ -475,16 +475,6 @@ fn handle_connection(stream: TcpStream, daemon: &Daemon) {
     }
 }
 
-/// Protocol token for a solve status.
-fn status_token(status: Status) -> &'static str {
-    match status {
-        Status::Optimal => "optimal",
-        Status::TimedOut => "timeout",
-        Status::NodeLimitReached => "node-limit",
-        Status::Cancelled => "cancelled",
-    }
-}
-
 /// Executes one command; returns the final response line and whether to
 /// shut down. A `SOLVE .. verbose=1` additionally streams `EVENT` lines to
 /// `writer` while the search runs, before the final line is returned.
@@ -770,9 +760,9 @@ fn event_line(event: &Event) -> String {
             status,
         } => format!(
             "EVENT type=subdone idx={index} k={k} size={size} status={}",
-            status_token(status)
+            status.as_token()
         ),
-        Event::Done { status } => format!("EVENT type=done status={}", status_token(status)),
+        Event::Done { status } => format!("EVENT type=done status={}", status.as_token()),
     }
 }
 
@@ -786,7 +776,7 @@ fn result_line(event: &Event) -> Option<String> {
             status,
         } => Some(format!(
             "RESULT idx={index} k={k} size={size} status={}",
-            status_token(status)
+            status.as_token()
         )),
         _ => None,
     }
@@ -814,7 +804,7 @@ fn solve(
         drain_lines(events, writer);
     }
     let outcome = wait_outcome(daemon, id)?;
-    let status = status_token(outcome.status);
+    let status = outcome.status.as_token();
     let elapsed_ns = outcome.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
     if elapsed_ns >= daemon.slow_threshold_ns.load(Ordering::Relaxed) {
         daemon.slow_queries.inc();
@@ -893,7 +883,7 @@ fn msolve(daemon: &Daemon, mut spec: JobSpec, writer: &mut TcpStream) -> Result<
     Ok(OkLine::new()
         .field("job", id)
         .field("graph", &entry.name)
-        .field("status", status_token(batch.status()))
+        .field("status", batch.status().as_token())
         .field("subs", batch.outcomes.len())
         .field("sizes", sizes.join(","))
         .field("ctcp_shares", batch.batch_ctcp_shares)
