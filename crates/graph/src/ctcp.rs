@@ -651,6 +651,23 @@ mod tests {
     }
 
     #[test]
+    fn tighten_batch_edge_cases() {
+        // A pending schedule is applied as one `tighten` at its maximum.
+        let g = gen::complete(5);
+        let mut c = Ctcp::new(&g, 1);
+        let empty: [usize; 0] = [];
+        let max = empty.iter().copied().max().unwrap_or(0);
+        assert!(c.tighten(max).is_empty(), "empty schedule is a no-op");
+        assert_eq!(c.lb(), 0);
+        assert_eq!(c.alive_vertices().len(), 5);
+        c.tighten(6);
+        // A schedule entirely below the current bound is clamped away.
+        let max = [1usize, 2, 3].into_iter().max().unwrap();
+        assert!(c.tighten(max).is_empty());
+        assert_eq!(c.lb(), 6);
+    }
+
+    #[test]
     fn rules_toggle_independently() {
         let mut rng = gen::seeded_rng(55);
         let g = gen::gnp(35, 0.3, &mut rng);
