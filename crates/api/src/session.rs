@@ -506,12 +506,15 @@ impl Session {
     }
 
     /// The resident CTCP reducer for `key`, built on first use and resumed
-    /// from then on; returns `(reducer, resumed)`. A fresh build is traced
-    /// as a `ctcp_build` span on `trace`. Evicts the least-recently-used
-    /// slot when the cache is full.
+    /// from then on; returns `(reducer, resumed)`. A fresh build takes its
+    /// core order from `peeling`, the session's one peel, which the caller
+    /// fetches before this takes the cache lock, and is traced as a
+    /// `ctcp_build` span on `trace`. Evicts the least-recently-used slot
+    /// when the cache is full.
     fn ctcp_state(
         &self,
         key: CtcpKey,
+        peeling: &Peeling,
         trace: Option<&kdc_obs::Tracer>,
     ) -> (Arc<Mutex<Ctcp>>, bool) {
         let mut cache = lock_unpoisoned(&self.ctcp);
@@ -524,11 +527,12 @@ impl Session {
         }
         self.bump(SessionCounter::CtcpBuilds, 1);
         let span = trace.map(|t| t.span("ctcp_build"));
-        let fresh = Arc::new(Mutex::new(Ctcp::with_rules(
+        let fresh = Arc::new(Mutex::new(Ctcp::with_peeling(
             &self.graph,
             key.k,
             key.core_rule,
             key.truss_rule,
+            peeling,
         )));
         drop(span);
         if cache.cap == 0 {
@@ -712,6 +716,35 @@ impl Session {
         Ok(outcome)
     }
 
+    /// The proven-optimal answer to `Solve { k }` under `options` from the
+    /// result memo, if the session holds one: exactly what [`Session::run`]
+    /// returns for that query without searching, so a caller can answer it
+    /// without scheduling work. A hit counts in
+    /// [`SessionCounters::result_hits`]; custom options never hit.
+    pub fn memoized_solve(&self, k: usize, options: &Options) -> Option<Outcome> {
+        let key = SolveKey {
+            k,
+            preset: options.memo_preset()?.to_string(),
+        };
+        self.memo_outcome(&key, Instant::now())
+    }
+
+    /// The [`Outcome`] of a memo hit on `key`, timed from `t0`.
+    fn memo_outcome(&self, key: &SolveKey, t0: Instant) -> Option<Outcome> {
+        let solution = self.cached_result(key)?;
+        Some(Outcome {
+            witnesses: vec![solution.vertices],
+            counts: None,
+            status: solution.status,
+            stats: solution.stats,
+            cache: CacheInfo {
+                result_memo_hit: true,
+                ..self.cache_info()
+            },
+            elapsed: t0.elapsed(),
+        })
+    }
+
     /// The one cold-solve pipeline behind every `Solve`, plain or batched:
     /// memo lookup, config resolve, budget, the cached peeling, the
     /// resident reducer, the witness seed, the observer, the search itself
@@ -733,20 +766,8 @@ impl Session {
             k,
             preset: preset.to_string(),
         });
-        if let Some(key) = &memo_key {
-            if let Some(solution) = self.cached_result(key) {
-                return Ok(Outcome {
-                    witnesses: vec![solution.vertices],
-                    counts: None,
-                    status: solution.status,
-                    stats: solution.stats,
-                    cache: CacheInfo {
-                        result_memo_hit: true,
-                        ..self.cache_info()
-                    },
-                    elapsed: t0.elapsed(),
-                });
-            }
+        if let Some(hit) = memo_key.as_ref().and_then(|key| self.memo_outcome(key, t0)) {
+            return Ok(hit);
         }
         let mut config = options.resolve()?;
         apply_budget(&mut config, budget);
@@ -755,15 +776,17 @@ impl Session {
         // cached peeling, preprocessing resumes the resident CTCP reducer
         // for this (k, rules) pair, and the best known witness seeds the
         // lower bound so the resumed reducer state is sound.
-        config.shared_peeling = Some(self.peeling_traced(config.trace.as_ref()));
+        let peeling = self.peeling_traced(config.trace.as_ref());
         let (ctcp, ctcp_resumed) = self.ctcp_state(
             CtcpKey {
                 k,
                 core_rule: config.enable_rr5,
                 truss_rule: config.enable_rr6,
             },
+            &peeling,
             config.trace.as_ref(),
         );
+        config.shared_peeling = Some(peeling);
         if let Some(floor) = hints.floor {
             lock_unpoisoned(&ctcp).tighten(floor);
         }

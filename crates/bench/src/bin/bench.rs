@@ -12,7 +12,8 @@
 //!   per-phase nanoseconds of the tracer spans `kdc solve --profile`
 //!   prints. Plus the incremental CTCP reducer across a rising lower-bound
 //!   schedule, the tie-ordered degeneracy peel against the O(n + m)
-//!   bucket peel on `rmat16`, and `io::read_graph` of `rmat16` as DIMACS.
+//!   bucket peel on `rmat16`, `Degen-opt` on `rmat16` at `k = 3`, and
+//!   `io::read_graph` of `rmat16` as DIMACS.
 //! * **batch** — `planted-200-k3` swept as one batch over `k = 0..=4`
 //!   versus five fresh-session cold solves. Answers must be byte-identical
 //!   and the sweep must share at least one reducer pass and seed at least
@@ -23,7 +24,8 @@
 //!   byte-identical to the cold solve.
 //!
 //! Every run checks the same-run ratio gates (kdclub/kdc nodes, word/scalar
-//! wall, tie-ordered/bucket peel wall, read_graph/bucket peel wall,
+//! wall, tie-ordered/bucket peel wall, Degen-opt/tie-ordered peel wall,
+//! read_graph/bucket peel wall,
 //! batch/cold nodes and wall, warm/cold nodes), which hold on any machine.
 //! `--check` also gates node counts (5%) and solution sizes against a
 //! committed baseline; it reads any `BENCH_*.json` since `BENCH_5`, so
@@ -34,7 +36,7 @@
 //!
 //! Usage: `bench [--out PATH] [--check [PATH]] [--reps N]`.
 
-use kdc::{bound, Solver, SolverConfig};
+use kdc::{bound, heuristic, Solver, SolverConfig};
 use kdc_api::{Budget, Options, Outcome, Session, SubQuery};
 use kdc_bench::baseline::{self, median_ns, Case, Gate, Measure};
 use kdc_graph::ctcp::Ctcp;
@@ -53,6 +55,15 @@ const DEFAULT_PATH: &str = "BENCH_9.json";
 /// `--reps 3` runs on a 2-vCPU VM). The line-based `&str` parser it
 /// replaced took about 1.9x as long on the same file, a ratio near 10.
 const READ_GRAPH_MAX: f64 = 8.0;
+
+/// Bound on `Degen-opt / tie-ordered peel` wall on rmat16 at k = 3. The
+/// L0-core-bounded, bit-row Degen-opt measured 10 to 12 over four
+/// `--reps 3` runs on a 2-vCPU VM; the loop over every ego with list-built
+/// subgraphs it replaced measured 21 to 30.
+const DEGEN_OPT_MAX: f64 = 16.0;
+
+/// The lower bound `Degen-opt` finds on rmat16 at k = 3.
+const RMAT16_K3_LB: usize = 39;
 
 /// The defect budgets of the batch sweep.
 const K_SWEEP: std::ops::RangeInclusive<usize> = 0..=4;
@@ -176,7 +187,11 @@ fn solve_suite(reps: usize) -> Suite {
     }
     cases.push(ctcp_case(&instances[search_heavy].1, reps));
     let rmat16 = gen::rmat(16, 8, &mut gen::seeded_rng(7));
-    for (c, g) in [peel_suite(&rmat16, reps), read_graph_suite(&rmat16, reps)] {
+    for (c, g) in [
+        peel_suite(&rmat16, reps),
+        heuristic_suite(&rmat16, reps),
+        read_graph_suite(&rmat16, reps),
+    ] {
         cases.extend(c);
         gates.extend(g);
     }
@@ -211,6 +226,32 @@ fn peel_suite(g: &Graph, reps: usize) -> Suite {
         "the tie-ordered peel stays within a constant factor of the O(n + m) peel",
     )];
     (cases, gates)
+}
+
+/// `Degen-opt` at k = 3 on the same R-MAT graph and its tie-ordered
+/// peeling, gated against that peel. Its lower bound is asserted here
+/// because `BENCH_9.json` has no row for this case.
+fn heuristic_suite(g: &Graph, reps: usize) -> Suite {
+    let peeling = degeneracy::peel(g);
+    let lb = heuristic::degen_opt_with(g, 3, &peeling).len();
+    assert_eq!(lb, RMAT16_K3_LB, "rmat16: Degen-opt's lower bound at k = 3");
+    let median = median_ns(reps, || {
+        std::hint::black_box(heuristic::degen_opt_with(
+            std::hint::black_box(g),
+            3,
+            &peeling,
+        ));
+    });
+    let name = "heuristic/rmat16-k3/degen-opt".to_string();
+    let case = Case::new(name.clone(), median, reps).with("lb", lb as u64);
+    let gates = vec![gate(
+        Measure::Wall,
+        name,
+        "peel/rmat16/tie-ordered".to_string(),
+        DEGEN_OPT_MAX,
+        "Degen-opt builds egos only inside the core of Degen's lower bound",
+    )];
+    (vec![case], gates)
 }
 
 /// `io::read_graph` of the same R-MAT graph, written once as DIMACS: file

@@ -3,10 +3,19 @@
 //! `Degen` finds the longest suffix of a degeneracy ordering that forms a
 //! k-defective clique, in O(m) time after the ordering. `Degen-opt`
 //! additionally runs `Degen` inside the ego-subgraph `G[N⁺(v)]` of every
-//! vertex `v` (its higher-ranked neighbours under the degeneracy ordering),
-//! for a total of O(δ(G)·m) time, and keeps the largest of the `n + 1`
-//! candidate solutions.
+//! vertex `v` (its higher-ranked neighbours under the degeneracy ordering)
+//! and keeps the largest of the `n + 1` candidate solutions. The paper
+//! bounds that by O(δ(G)·m).
+//!
+//! Only an ego of at least `L0` vertices, `L0` being `Degen`'s size, can
+//! beat `Degen`, and `|N⁺(v)|` never exceeds the core number of `v`. So
+//! [`degen_opt_with`] visits the `L0`-core alone, which on sparse graphs is
+//! a few hundred vertices, and runs each ego's `Degen` on bit rows. Its cost
+//! is O(m + δ(G)·m_c), where `m_c` is the number of edges inside the
+//! `L0`-core, and its answer is the one the textbook loop over all `n`
+//! egos returns.
 
+use kdc_graph::bitset::{popcount_and, words_for, BitMatrix};
 use kdc_graph::degeneracy;
 use kdc_graph::graph::{Graph, VertexId};
 use kdc_graph::scratch::Marker;
@@ -33,8 +42,7 @@ pub fn degen_with(g: &Graph, k: usize, peeling: &degeneracy::Peeling) -> Vec<Ver
     degen_on_order(g, k, &peeling.order)
 }
 
-/// `Degen` on a caller-supplied ordering (used by `Degen-opt` to reuse the
-/// ego-subgraph's ordering).
+/// `Degen` on a caller-supplied ordering of `g`.
 pub fn degen_on_order(g: &Graph, k: usize, order: &[VertexId]) -> Vec<VertexId> {
     let n = order.len();
     if n == 0 {
@@ -73,61 +81,152 @@ pub fn degen_opt(g: &Graph, k: usize) -> Vec<VertexId> {
 }
 
 /// [`degen_opt`] on a caller-supplied peeling of `g`.
+///
+/// The egos are visited in ascending id, and an ego replaces the incumbent
+/// only when it is strictly larger, so the first best candidate wins. Two
+/// facts let the loop skip most of the graph without changing that answer:
+///
+/// * a candidate `{u} ∪ Degen(G[N⁺(u)])` can beat the incumbent, which is
+///   never smaller than `Degen`'s `L0`, only if `|N⁺(u)| ≥ L0`;
+/// * `|N⁺(u)|` is the degree of `u` when it is peeled, which is at most its
+///   core number, and every member of `N⁺(u)` is peeled later, so its core
+///   number is at least that of `u`.
+///
+/// So every ego that can win lies inside the `L0`-core, the suffix of the
+/// peel order whose core numbers are at least `L0`. Only that suffix gets
+/// `N⁺` rows. Each ego (at most δ(G) vertices) is built as bit rows, peeled
+/// by `(degree, local id)` exactly as [`degeneracy::peel`] would peel it as
+/// a graph, and its `Degen` suffix is taken by popcount. Cost:
+/// O(m + δ(G)·m_c), with `m_c` the number of edges inside the `L0`-core.
 pub fn degen_opt_with(g: &Graph, k: usize, peeling: &degeneracy::Peeling) -> Vec<VertexId> {
     debug_assert_eq!(peeling.order.len(), g.n(), "peeling is for another graph");
     let mut best = degen_on_order(g, k, &peeling.order);
 
-    let n = g.n();
-    // Forward adjacency under the ordering: |N⁺(u)| ≤ δ(G), total size m.
-    let nplus: Vec<Vec<VertexId>> = (0..n as VertexId)
-        .map(|u| {
-            g.neighbors(u)
-                .iter()
-                .copied()
-                .filter(|&w| peeling.rank[w as usize] > peeling.rank[u as usize])
-                .collect()
-        })
-        .collect();
+    // Core numbers never decrease along the peel order, so the L0-core is
+    // a suffix of it. A core vertex is addressed by its slot in that
+    // suffix: `rank - first`.
+    let first = peeling
+        .order
+        .partition_point(|&v| peeling.core[v as usize] < best.len());
+    let core = &peeling.order[first..];
+    // Flat N⁺ rows over slots, each in the order of `g.neighbors(u)`.
+    let mut offsets = Vec::with_capacity(core.len() + 1);
+    let mut nplus: Vec<u32> = Vec::new();
+    offsets.push(0);
+    for &u in core {
+        let ru = peeling.rank[u as usize];
+        nplus.extend(g.neighbors(u).iter().filter_map(|&w| {
+            let rw = peeling.rank[w as usize];
+            (rw > ru).then(|| (rw - first) as u32)
+        }));
+        offsets.push(nplus.len());
+    }
 
-    let mut member = Marker::new(n);
-    let mut local_id = vec![0u32; n];
-    for u in 0..n as VertexId {
-        let ego = &nplus[u as usize];
-        if ego.len() < best.len() {
+    let mut visit: Vec<u32> = (0..core.len() as u32).collect();
+    visit.sort_unstable_by_key(|&s| core[s as usize]);
+    let mut ego = EgoDegen::new(core.len());
+    for s in visit {
+        let members = &nplus[offsets[s as usize]..offsets[s as usize + 1]];
+        if members.len() < best.len() {
             // Even {u} ∪ ego cannot beat the incumbent.
             continue;
         }
-        // Build the ego subgraph over local ids 0..ego.len(). Edges of the
-        // ego graph are found through N⁺ of the members: (a, b) with
-        // rank(a) < rank(b) appears in nplus[a], so scanning members' N⁺
-        // lists against the membership marker finds each edge once, in
-        // O(Σ_{a ∈ ego} |N⁺(a)|) ≤ O(|ego|·δ) time.
-        member.reset();
-        for (i, &a) in ego.iter().enumerate() {
-            member.mark(a as usize);
-            local_id[a as usize] = i as u32;
-        }
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); ego.len()];
-        for &a in ego {
-            let la = local_id[a as usize];
-            for &b in &nplus[a as usize] {
-                if member.is_marked(b as usize) {
-                    let lb = local_id[b as usize];
-                    adj[la as usize].push(lb);
-                    adj[lb as usize].push(la);
-                }
-            }
-        }
-        let sub = Graph::from_adjacency(adj);
-        let local_best = degen(&sub, k);
+        let local_best = ego.run(members, &offsets, &nplus, k);
         if local_best.len() + 1 > best.len() {
-            let mut cand: Vec<VertexId> = local_best.iter().map(|&l| ego[l as usize]).collect();
-            cand.push(u);
+            let mut cand: Vec<VertexId> = local_best
+                .iter()
+                .map(|&l| core[members[l as usize] as usize])
+                .collect();
+            cand.push(core[s as usize]);
             debug_assert!(g.is_k_defective_clique(&cand, k));
             best = cand;
         }
     }
     best
+}
+
+/// Buffers for `Degen` inside one ego at a time, reused across egos.
+struct EgoDegen {
+    /// Slot → local id in the current ego; `u32::MAX` outside it.
+    local: Vec<u32>,
+    /// The ego's adjacency over local ids.
+    adj: BitMatrix,
+    /// `degree << 32 | local id` of each unpeeled vertex; `u64::MAX` once
+    /// peeled, so the minimum is the `(degree, id)` minimum.
+    key: Vec<u64>,
+    /// Local ids in peel order.
+    order: Vec<u32>,
+    /// The Degen suffix built so far, as a bit row.
+    suffix: Vec<u64>,
+}
+
+impl EgoDegen {
+    fn new(slots: usize) -> Self {
+        EgoDegen {
+            local: vec![u32::MAX; slots],
+            adj: BitMatrix::new(0, 0),
+            key: Vec::new(),
+            order: Vec::new(),
+            suffix: Vec::new(),
+        }
+    }
+
+    /// `Degen(G[members], k)` in local ids (indexes into `members`), in
+    /// peel order. Edges of the ego are found through the members' own
+    /// `N⁺` rows: an edge `(a, b)` with `a` peeled first sits in `a`'s row
+    /// only, so each is set once per direction.
+    fn run(&mut self, members: &[u32], offsets: &[usize], nplus: &[u32], k: usize) -> &[u32] {
+        let e = members.len();
+        for (i, &a) in members.iter().enumerate() {
+            self.local[a as usize] = i as u32;
+        }
+        self.adj.reset(e, e);
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &nplus[offsets[a as usize]..offsets[a as usize + 1]] {
+                let j = self.local[b as usize];
+                if j != u32::MAX {
+                    self.adj.set(i, j as usize);
+                    self.adj.set(j as usize, i);
+                }
+            }
+        }
+        for &a in members {
+            self.local[a as usize] = u32::MAX;
+        }
+
+        // Peel by (degree, local id), as `degeneracy::peel` orders ties.
+        self.key.clear();
+        self.key
+            .extend((0..e).map(|i| (self.adj.row_len(i) as u64) << 32 | i as u64));
+        self.order.clear();
+        for _ in 0..e {
+            let v = self.key.iter().copied().min().unwrap_or(u64::MAX) as u32;
+            self.key[v as usize] = u64::MAX;
+            self.order.push(v);
+            for w in self.adj.row_iter(v as usize) {
+                if self.key[w] != u64::MAX {
+                    self.key[w] -= 1 << 32;
+                }
+            }
+        }
+
+        // The longest k-defective suffix of that order.
+        self.suffix.clear();
+        self.suffix.resize(words_for(e), 0);
+        let (mut missing, mut taken) = (0usize, 0usize);
+        while taken < e {
+            let v = self.order[e - 1 - taken] as usize;
+            let nbrs_in = popcount_and(self.adj.row(v), &self.suffix);
+            let new_missing = missing + (taken - nbrs_in);
+            if new_missing > k {
+                break;
+            }
+            missing = new_missing;
+            self.suffix[v / 64] |= 1 << (v % 64);
+            taken += 1;
+        }
+        &self.order[e - taken..]
+    }
 }
 
 /// Local-search refinement of a k-defective clique: greedily extend to a
@@ -180,6 +279,116 @@ mod tests {
     use super::*;
     use kdc_graph::gen;
     use kdc_graph::named;
+
+    /// The textbook `Degen-opt` loop: `Vec<Vec>` N⁺ rows for all `n`
+    /// vertices, and per ego a `Graph` built from adjacency lists, a fresh
+    /// tie-ordered peel and `Degen` on it. [`degen_opt_with`] must return
+    /// exactly this `Vec`, order included.
+    fn degen_opt_reference(g: &Graph, k: usize, peeling: &degeneracy::Peeling) -> Vec<VertexId> {
+        let mut best = degen_on_order(g, k, &peeling.order);
+        let n = g.n();
+        let nplus: Vec<Vec<VertexId>> = (0..n as VertexId)
+            .map(|u| {
+                g.neighbors(u)
+                    .iter()
+                    .copied()
+                    .filter(|&w| peeling.rank[w as usize] > peeling.rank[u as usize])
+                    .collect()
+            })
+            .collect();
+        let mut member = Marker::new(n);
+        let mut local_id = vec![0u32; n];
+        for u in 0..n as VertexId {
+            let ego = &nplus[u as usize];
+            if ego.len() < best.len() {
+                continue;
+            }
+            member.reset();
+            for (i, &a) in ego.iter().enumerate() {
+                member.mark(a as usize);
+                local_id[a as usize] = i as u32;
+            }
+            let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); ego.len()];
+            for &a in ego {
+                let la = local_id[a as usize];
+                for &b in &nplus[a as usize] {
+                    if member.is_marked(b as usize) {
+                        let lb = local_id[b as usize];
+                        adj[la as usize].push(lb);
+                        adj[lb as usize].push(la);
+                    }
+                }
+            }
+            let local_best = degen(&Graph::from_adjacency(adj), k);
+            if local_best.len() + 1 > best.len() {
+                let mut cand: Vec<VertexId> = local_best.iter().map(|&l| ego[l as usize]).collect();
+                cand.push(u);
+                best = cand;
+            }
+        }
+        best
+    }
+
+    const ORACLE_KS: [usize; 7] = [0, 1, 2, 3, 5, 10, 20];
+
+    fn assert_matches_reference(g: &Graph, what: &str) {
+        let peeling = degeneracy::peel(g);
+        for k in ORACLE_KS {
+            assert_eq!(
+                degen_opt_with(g, k, &peeling),
+                degen_opt_reference(g, k, &peeling),
+                "{what} k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn degen_opt_matches_reference_on_gnp() {
+        let mut rng = gen::seeded_rng(4242);
+        for n in [30usize, 45, 60, 90, 120] {
+            for p in [0.1, 0.3, 0.5, 0.8] {
+                let g = gen::gnp(n, p, &mut rng);
+                assert_matches_reference(&g, &format!("gnp n={n} p={p}"));
+            }
+        }
+    }
+
+    #[test]
+    fn degen_opt_matches_reference_on_chung_lu() {
+        let mut rng = gen::seeded_rng(4343);
+        for (n, d, beta) in [
+            (2_000usize, 8.0, 2.3),
+            (3_500, 12.0, 2.1),
+            (5_000, 10.0, 2.5),
+        ] {
+            let g = gen::chung_lu(n, d, beta, &mut rng);
+            assert_matches_reference(&g, &format!("chung_lu n={n}"));
+        }
+    }
+
+    #[test]
+    fn degen_opt_matches_reference_on_planted_and_named_graphs() {
+        // The generator calls of `kdc_bench::collections::planted_snapshot_cases`.
+        let planted = [
+            gen::planted_defective_clique(200, 14, 3, 0.30, &mut gen::seeded_rng(13)).0,
+            gen::planted_defective_clique(220, 14, 3, 0.28, &mut gen::seeded_rng(17)).0,
+        ];
+        for (i, g) in planted.iter().enumerate() {
+            assert_matches_reference(g, &format!("planted #{i}"));
+        }
+        let named = [
+            ("figure2", named::figure2()),
+            ("figure4", named::figure4()),
+            ("figure5", named::figure5().0),
+            ("figure6_like", named::figure6_like()),
+            ("empty(0)", Graph::empty(0)),
+            ("empty(7)", Graph::empty(7)),
+            ("complete(9)", gen::complete(9)),
+        ];
+        for (name, g) in &named {
+            assert_matches_reference(g, name);
+        }
+    }
 
     #[test]
     fn degen_on_clique_takes_everything() {

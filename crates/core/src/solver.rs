@@ -104,16 +104,20 @@ impl SolveBudget {
 
     /// The deadline and the nodes not yet spent, to arm one engine run.
     pub(crate) fn arm(&self) -> (Option<Instant>, Option<u64>) {
-        let spent = self.spent.load(Ordering::Relaxed);
         (
             self.deadline,
-            self.node_limit.map(|l| l.saturating_sub(spent)),
+            self.node_limit.map(|l| l.saturating_sub(self.spent())),
         )
     }
 
     /// Books the nodes one engine run visited.
     pub(crate) fn charge(&self, nodes: u64) {
         self.spent.fetch_add(nodes, Ordering::Relaxed);
+    }
+
+    /// The nodes booked so far.
+    pub(crate) fn spent(&self) -> u64 {
+        self.spent.load(Ordering::Relaxed)
     }
 }
 
@@ -177,7 +181,7 @@ impl<'g> Pipeline<'g> {
             }
         }
         let mut pipeline = Pipeline {
-            ctcp: resident_ctcp(graph, k, &config, lb0),
+            ctcp: resident_ctcp(graph, k, &config, lb0, peeling.as_deref()),
             removed: Arc::default(),
             graph,
             k,
@@ -217,7 +221,7 @@ impl<'g> Pipeline<'g> {
         let mut rem = c.tighten(lb);
         if c.lb() > lb {
             drop(c);
-            let mut private = fresh_ctcp(self.graph, self.k, &self.config);
+            let mut private = fresh_ctcp(self.graph, self.k, &self.config, self.peeling.as_deref());
             rem = private.tighten(lb);
             self.ctcp = Arc::new(Mutex::new(private));
             c = self.ctcp.lock().expect("poisoned");
@@ -349,8 +353,14 @@ fn valid_seed(g: &Graph, seed: &[VertexId], k: usize) -> bool {
 /// The CTCP reducer for this solve: the installed resident one when it
 /// matches this graph, `k`, rule configuration and can be resumed at `lb`
 /// (its recorded bound must not exceed what this solve justifies); a fresh
-/// one otherwise.
-fn resident_ctcp(g: &Graph, k: usize, config: &SolverConfig, lb: usize) -> Arc<Mutex<Ctcp>> {
+/// one otherwise, built from `peeling` when the solve has one.
+fn resident_ctcp(
+    g: &Graph,
+    k: usize,
+    config: &SolverConfig,
+    lb: usize,
+    peeling: Option<&Peeling>,
+) -> Arc<Mutex<Ctcp>> {
     if let Some(shared) = &config.shared_ctcp {
         let usable = {
             let c = shared.lock().expect("poisoned");
@@ -363,12 +373,18 @@ fn resident_ctcp(g: &Graph, k: usize, config: &SolverConfig, lb: usize) -> Arc<M
             return Arc::clone(shared);
         }
     }
-    Arc::new(Mutex::new(fresh_ctcp(g, k, config)))
+    Arc::new(Mutex::new(fresh_ctcp(g, k, config, peeling)))
 }
 
-/// A new reducer for `(g, k)` under `config`'s RR5/RR6 switches.
-fn fresh_ctcp(g: &Graph, k: usize, config: &SolverConfig) -> Ctcp {
-    Ctcp::with_rules(g, k, config.enable_rr5, config.enable_rr6)
+/// A new reducer for `(g, k)` under `config`'s RR5/RR6 switches. It takes
+/// its core order from the solve's `peeling` when there is one, so the
+/// graph is not peeled a second time.
+fn fresh_ctcp(g: &Graph, k: usize, config: &SolverConfig, peeling: Option<&Peeling>) -> Ctcp {
+    let (core, truss) = (config.enable_rr5, config.enable_rr6);
+    match peeling {
+        Some(p) => Ctcp::with_peeling(g, k, core, truss, p),
+        None => Ctcp::with_rules(g, k, core, truss),
+    }
 }
 
 /// Convenience wrapper: solve with the default kDC configuration.

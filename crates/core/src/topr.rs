@@ -14,6 +14,7 @@ use crate::engine::Engine;
 use crate::solver::{SolveBudget, Solver};
 use crate::stats::Status;
 use kdc_graph::graph::{Graph, VertexId};
+use std::time::Instant;
 
 /// An enumeration answer plus its completeness: [`Status::Optimal`] means
 /// the pool is proven exact; any other status means a limit or a
@@ -24,6 +25,9 @@ pub struct TopRResult {
     pub cliques: Vec<Vec<VertexId>>,
     /// [`Status::Optimal`] iff the enumeration ran to completion.
     pub status: Status,
+    /// Search nodes the query visited, over all of its engine runs; never
+    /// more than the node limit in its `config`.
+    pub nodes: u64,
 }
 
 /// The `r` largest maximal k-defective cliques of `g` (fewer if the graph
@@ -84,6 +88,7 @@ pub fn top_r_maximal_with_status(
     TopRResult {
         cliques: out,
         status,
+        nodes: budget.spent(),
     }
 }
 
@@ -111,6 +116,11 @@ pub fn top_r_diversified(
 /// [`Status::Optimal`] means some peel-and-solve round was interrupted by a
 /// limit or cancellation, so the covered sets are valid but the coverage
 /// guarantee does not hold.
+///
+/// `config`'s time and node limits hold for the query as a whole: one
+/// [`SolveBudget`] starts with it, each round is armed with the deadline
+/// and the nodes left, and its nodes are charged back. Once the budget is
+/// spent no further round starts, and its status is the query's.
 pub fn top_r_diversified_with_status(
     g: &Graph,
     k: usize,
@@ -118,6 +128,7 @@ pub fn top_r_diversified_with_status(
     config: SolverConfig,
 ) -> TopRResult {
     assert!(r > 0, "r must be positive");
+    let budget = SolveBudget::new(&config);
     let mut status = Status::Optimal;
     let mut out = Vec::new();
     let mut remaining: Vec<VertexId> = g.vertices().collect();
@@ -126,7 +137,16 @@ pub fn top_r_diversified_with_status(
         if current.n() == 0 {
             break;
         }
-        let sol = Solver::new(&current, k, config.clone()).solve();
+        if let Some(spent) = budget.exhausted() {
+            status = spent;
+            break;
+        }
+        let (deadline, nodes) = budget.arm();
+        let mut round = config.clone();
+        round.time_limit = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        round.node_limit = nodes;
+        let sol = Solver::new(&current, k, round).solve();
+        budget.charge(sol.stats.nodes);
         if !sol.is_optimal() {
             status = sol.status;
         }
@@ -156,6 +176,7 @@ pub fn top_r_diversified_with_status(
     TopRResult {
         cliques: out,
         status,
+        nodes: budget.spent(),
     }
 }
 
@@ -257,6 +278,31 @@ mod tests {
         }
         // Each solution should roughly recover one community's core.
         assert!(sols.iter().all(|c| c.len() >= 6));
+    }
+
+    #[test]
+    fn diversified_rounds_share_one_node_budget() {
+        let g = gen::gnp(60, 0.5, &mut gen::seeded_rng(19));
+        let cfg = SolverConfig::kdc().with_node_limit(50);
+        let result = top_r_diversified_with_status(&g, 3, 4, cfg);
+        assert!(result.nodes <= 50, "{} nodes", result.nodes);
+        assert_eq!(result.status, Status::NodeLimitReached);
+        for c in &result.cliques {
+            assert!(g.is_k_defective_clique(c, 3));
+        }
+
+        // A limit the first round fits under: the later rounds get only
+        // what it left, so the query stops inside round two.
+        let unlimited = top_r_diversified_with_status(&g, 3, 4, SolverConfig::kdc());
+        assert_eq!(unlimited.status, Status::Optimal);
+        let first = Solver::new(&g, 3, SolverConfig::kdc()).solve().stats.nodes;
+        let limit = first + 100;
+        assert!(unlimited.nodes > limit, "{} nodes", unlimited.nodes);
+        let cfg = SolverConfig::kdc().with_node_limit(limit);
+        let result = top_r_diversified_with_status(&g, 3, 4, cfg);
+        assert!(result.nodes <= limit, "{} of {limit} nodes", result.nodes);
+        assert_eq!(result.status, Status::NodeLimitReached);
+        assert_eq!(result.cliques[0], unlimited.cliques[0]);
     }
 
     #[test]

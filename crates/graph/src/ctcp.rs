@@ -20,7 +20,8 @@
 //!
 //! The reducer is *core-first*. Construction is `O(n + m)` and counts no
 //! triangles: it indexes the edges and takes core numbers from one bucket
-//! peel. Until supports exist no edge has died to the truss rule, so the
+//! peel, or from a peeling the caller already holds ([`Ctcp::with_peeling`]).
+//! Until supports exist no edge has died to the truss rule, so the
 //! alive graph is exactly a core, and a `tighten` that raises the degree
 //! threshold to `t` deletes the vertices of core number `< t` in bulk,
 //! walking the peel order. Supports are counted once, at the first
@@ -51,7 +52,7 @@
 //! assert_eq!(ctcp.alive_vertices(), vec![0, 1, 2]);
 //! ```
 
-use crate::degeneracy::{peel_bucket, BucketPeel};
+use crate::degeneracy::{peel_bucket, BucketPeel, Peeling};
 use crate::graph::{Graph, VertexId};
 use crate::scratch::ScratchMap;
 use crate::truss::EdgeIndex;
@@ -90,8 +91,8 @@ pub struct Ctcp {
 
     /// `edges[e] = (u, v)` with `u < v`; rows of sorted `(neighbour, e)`.
     idx: EdgeIndex,
-    /// `(core number, vertex)` in bucket-peel order, so core numbers never
-    /// decrease along it; `peeled` is the prefix the core phase has
+    /// `(core number, vertex)` in peel order (a bucket peel, or the
+    /// caller's [`Peeling`]), so core numbers never decrease along it; `peeled` is the prefix the core phase has
     /// deleted. Empty when the core rule is off, dropped once supports
     /// are counted.
     core_order: Vec<(u32, VertexId)>,
@@ -144,10 +145,6 @@ impl Ctcp {
     /// with the truss rule off they are never counted and edges only die
     /// with their endpoints.
     pub fn with_rules(g: &Graph, k: usize, core_rule: bool, truss_rule: bool) -> Self {
-        let n = g.n();
-        let idx = EdgeIndex::new(g);
-        let ne = idx.edges.len();
-        let deg: Vec<u32> = (0..n as VertexId).map(|v| g.degree(v) as u32).collect();
         let core_order = if core_rule {
             let (offsets, neighbors) = g.csr();
             let mut peel = BucketPeel::default();
@@ -160,6 +157,50 @@ impl Ctcp {
         } else {
             Vec::new()
         };
+        Self::build(g, k, core_rule, truss_rule, core_order)
+    }
+
+    /// [`Ctcp::with_rules`] with its core order taken from `peeling`, a
+    /// peeling of `g` the caller already holds, so a solve that has peeled
+    /// its graph once does not peel it again for the reducer. Core numbers
+    /// never decrease along [`Peeling::order`], which is all the core phase
+    /// needs. The survivors after every [`Ctcp::tighten`] are those of
+    /// [`Ctcp::with_rules`]; vertices the core phase removes may come in
+    /// another order, because the two peels break ties differently.
+    /// Costs `O(n + m)`.
+    pub fn with_peeling(
+        g: &Graph,
+        k: usize,
+        core_rule: bool,
+        truss_rule: bool,
+        peeling: &Peeling,
+    ) -> Self {
+        debug_assert_eq!(peeling.order.len(), g.n(), "peeling is for another graph");
+        let core_order = if core_rule {
+            peeling
+                .order
+                .iter()
+                .map(|&v| (peeling.core[v as usize] as u32, v))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Self::build(g, k, core_rule, truss_rule, core_order)
+    }
+
+    /// The reducer over `g` before any `tighten`, with `core_order` as
+    /// described on the field.
+    fn build(
+        g: &Graph,
+        k: usize,
+        core_rule: bool,
+        truss_rule: bool,
+        core_order: Vec<(u32, VertexId)>,
+    ) -> Self {
+        let n = g.n();
+        let idx = EdgeIndex::new(g);
+        let ne = idx.edges.len();
+        let deg: Vec<u32> = (0..n as VertexId).map(|v| g.degree(v) as u32).collect();
 
         Ctcp {
             k,

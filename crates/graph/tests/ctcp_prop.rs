@@ -7,9 +7,13 @@
 //! The hub-heavy Chung–Lu cases pin down the core-first path: a bulk
 //! core-number pass before any support exists, then one support count over
 //! the survivors, under every rule toggle and every schedule shape.
+//!
+//! A reducer whose core order comes from the caller's tie-ordered peeling
+//! ([`Ctcp::with_peeling`]) must match the bucket-peeled one
+//! ([`Ctcp::with_rules`]) step for step.
 
 use kdc_graph::ctcp::{scratch_fixpoint, scratch_fixpoint_rules, Ctcp};
-use kdc_graph::{gen, Graph};
+use kdc_graph::{degeneracy, gen, Graph};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -209,6 +213,36 @@ proptest! {
                 }
                 lb = batch.iter().copied().fold(lb, usize::max);
                 assert_at_fixpoint(&c, &g, lb, rules)?;
+            }
+        }
+    }
+
+    #[test]
+    fn peeling_fed_reducer_matches_bucket_peeled_reducer(
+        seed in 0u64..10_000,
+        n in 30usize..400,
+        avg_deg in 3usize..14,
+        beta_tenths in 21usize..30,
+        k in 0usize..4,
+        schedule in proptest::collection::vec(0usize..18, 1..6),
+    ) {
+        let g = hub_graph(seed, n, avg_deg, beta_tenths);
+        let peeling = degeneracy::peel(&g);
+        for rules in RULES {
+            let mut fed = Ctcp::with_peeling(&g, k, rules.0, rules.1, &peeling);
+            let mut own = Ctcp::with_rules(&g, k, rules.0, rules.1);
+            for &lb in &schedule {
+                let (a, b) = (fed.tighten(lb), own.tighten(lb));
+                prop_assert_eq!(a.edges, b.edges, "lb {} rules {:?}", lb, rules);
+                // The core phase walks each peel's own tie order.
+                let (mut va, mut vb) = (a.vertices, b.vertices);
+                va.sort_unstable();
+                vb.sort_unstable();
+                prop_assert_eq!(va, vb, "lb {} rules {:?}", lb, rules);
+                prop_assert_eq!(fed.alive_vertices(), own.alive_vertices());
+                prop_assert_eq!(fed.removal_counters(), own.removal_counters());
+                prop_assert_eq!((fed.alive_n(), fed.alive_m()), (own.alive_n(), own.alive_m()));
+                prop_assert_eq!(fed.extract_universe(), own.extract_universe());
             }
         }
     }

@@ -53,7 +53,10 @@
 //!   the handler thread; the query verbs (`SOLVE`, `MSOLVE`, `ENUMERATE`,
 //!   `COUNT`) are submitted to the queue and the handler blocks in
 //!   [`jobs::JobQueue::wait`] — so solver concurrency is bounded by the
-//!   worker pool, never by the number of clients.
+//!   worker pool, never by the number of clients. A non-verbose `SOLVE`
+//!   the session's proven-optimal memo can answer is the one exception:
+//!   the handler answers it inline, without a job (its reply has no
+//!   `job=`).
 //! * **N worker threads** (fixed at startup) pop jobs FIFO. A job's
 //!   [`kdc::CancelFlag`] is raised by `CANCEL <id>` from *any* connection;
 //!   the engine notices at its next branch-and-bound node and returns the

@@ -780,3 +780,48 @@ fn edge_errors_never_become_jobs() {
     assert_eq!(control.send("SHUTDOWN"), "OK shutdown=ok mode=abort");
     handle.join().expect("clean server exit");
 }
+
+/// A `SOLVE` the session memo can answer is answered on the connection:
+/// the reply says `cached=true`, carries no `job=`, and `JOBS` does not
+/// grow. `verbose=1` still runs as a job.
+#[test]
+fn memo_solve_answers_without_a_job() {
+    let g = named::figure2();
+    let p = write_graph("memo_fig2.clq", &g);
+    let handle = kdc_service::Server::bind("127.0.0.1:0", 1)
+        .expect("bind ephemeral port")
+        .spawn()
+        .expect("spawn accept loop");
+    let addr = handle.addr().to_string();
+    let mut control = Client::connect(&addr);
+    let resp = control.send(&format!("LOAD {} AS fig2", p.display()));
+    assert_eq!(field(&resp, "loaded"), "fig2", "{resp}");
+    let cold = control.send("SOLVE fig2 k=2");
+    assert_eq!(field(&cold, "cached"), "false", "{cold}");
+    assert_eq!(field(&cold, "job"), "1", "{cold}");
+    let jobs_before = field(&control.send("JOBS"), "count").to_string();
+    assert_eq!(jobs_before, "1");
+
+    let memo = control.send("SOLVE fig2 k=2");
+    assert!(memo.starts_with("OK graph=fig2 "), "{memo}");
+    assert_eq!(field(&memo, "cached"), "true", "{memo}");
+    assert!(!memo.contains("job="), "a memo hit has no job: {memo}");
+    for key in ["status", "size", "vertices", "nodes"] {
+        assert_eq!(field(&memo, key), field(&cold, key), "{key}: {memo}");
+    }
+    let jobs = control.send("JOBS");
+    assert_eq!(field(&jobs, "count"), jobs_before, "{jobs}");
+    let stats = control.send("STATS fig2");
+    assert_eq!(field(&stats, "result_hits"), "1", "{stats}");
+
+    // verbose=1 keeps the job path: EVENT lines, then a reply with a job.
+    let reply = kdc_service::request(&addr, "SOLVE fig2 k=2 verbose=1").expect("request");
+    let last = reply.lines().last().unwrap_or_default();
+    assert_eq!(field(last, "cached"), "true", "{reply}");
+    assert_eq!(field(last, "job"), "2", "{reply}");
+    let jobs = control.send("JOBS");
+    assert_eq!(field(&jobs, "count"), "2", "{jobs}");
+
+    assert_eq!(control.send("SHUTDOWN"), "OK shutdown=ok mode=abort");
+    handle.join().expect("clean server exit");
+}
