@@ -1417,6 +1417,10 @@ mod tests {
         let phases: Vec<&str> = trace.summary().iter().map(|p| p.name).collect();
         assert!(phases.contains(&"peel"), "phases recorded: {phases:?}");
         assert!(
+            phases.contains(&"heuristic"),
+            "the heuristic has its own span: {phases:?}"
+        );
+        assert!(
             phases.contains(&"ctcp_build"),
             "a cold solve traces its reducer build: {phases:?}"
         );

@@ -12,8 +12,8 @@
 //!   per-phase nanoseconds of the tracer spans `kdc solve --profile`
 //!   prints. Plus the incremental CTCP reducer across a rising lower-bound
 //!   schedule, the tie-ordered degeneracy peel against the O(n + m)
-//!   bucket peel on `rmat16`, `Degen-opt` on `rmat16` at `k = 3`, and
-//!   `io::read_graph` of `rmat16` as DIMACS.
+//!   bucket peel on `rmat16`, `Degen-opt` and the cold CTCP reducer on
+//!   `rmat16` at `k = 3`, and `io::read_graph` of `rmat16` as DIMACS.
 //! * **batch** — `planted-200-k3` swept as one batch over `k = 0..=4`
 //!   versus five fresh-session cold solves. Answers must be byte-identical
 //!   and the sweep must share at least one reducer pass and seed at least
@@ -25,7 +25,7 @@
 //!
 //! Every run checks the same-run ratio gates (kdclub/kdc nodes, word/scalar
 //! wall, tie-ordered/bucket peel wall, Degen-opt/tie-ordered peel wall,
-//! read_graph/bucket peel wall,
+//! cold reducer/bucket peel wall, read_graph/bucket peel wall,
 //! batch/cold nodes and wall, warm/cold nodes), which hold on any machine.
 //! `--check` also gates node counts (5%) and solution sizes against a
 //! committed baseline; it reads any `BENCH_*.json` since `BENCH_5`, so
@@ -64,6 +64,18 @@ const DEGEN_OPT_MAX: f64 = 16.0;
 
 /// The lower bound `Degen-opt` finds on rmat16 at k = 3.
 const RMAT16_K3_LB: usize = 39;
+
+/// Bound on `cold reducer / bucket peel` wall on rmat16 at k = 3: a
+/// `Ctcp::with_peeling` plus one `tighten(RMAT16_K3_LB)`. The reducer
+/// that indexes only the (lb − k)-core and probes the shorter row of each
+/// dying edge measured 42 to 50 over 18 same-run samples on a 2-vCPU VM;
+/// the one that indexed every edge and scanned the longer row measured 56
+/// to 87.
+const CTCP_COLD_MAX: f64 = 55.0;
+
+/// `(vertices, edges)` the cold reducer removes on rmat16 at k = 3 and
+/// lb = `RMAT16_K3_LB`: all but 691 vertices and 47,108 edges.
+const RMAT16_K3_REMOVALS: (usize, u64) = (64_845, 430_762);
 
 /// The defect budgets of the batch sweep.
 const K_SWEEP: std::ops::RangeInclusive<usize> = 0..=4;
@@ -190,6 +202,7 @@ fn solve_suite(reps: usize) -> Suite {
     for (c, g) in [
         peel_suite(&rmat16, reps),
         heuristic_suite(&rmat16, reps),
+        ctcp_cold_suite(&rmat16, reps),
         read_graph_suite(&rmat16, reps),
     ] {
         cases.extend(c);
@@ -250,6 +263,39 @@ fn heuristic_suite(g: &Graph, reps: usize) -> Suite {
         "peel/rmat16/tie-ordered".to_string(),
         DEGEN_OPT_MAX,
         "Degen-opt builds egos only inside the core of Degen's lower bound",
+    )];
+    (vec![case], gates)
+}
+
+/// The cold reducer on the same R-MAT graph at k = 3: built from its
+/// tie-ordered peeling and tightened once to `Degen-opt`'s lower bound,
+/// gated against the O(n + m) bucket peel. Its removal counts are
+/// asserted here because `BENCH_9.json` has no row for this case.
+fn ctcp_cold_suite(g: &Graph, reps: usize) -> Suite {
+    let peeling = degeneracy::peel(g);
+    let cold = || {
+        let mut ctcp = Ctcp::with_peeling(g, 3, true, true, &peeling);
+        let rem = ctcp.tighten(RMAT16_K3_LB);
+        (rem.vertices.len(), rem.edges)
+    };
+    let removals = cold();
+    assert_eq!(
+        removals, RMAT16_K3_REMOVALS,
+        "rmat16: cold reducer removals at k = 3"
+    );
+    let median = median_ns(reps, || {
+        std::hint::black_box(cold());
+    });
+    let name = "ctcp/rmat16-k3/cold".to_string();
+    let case = Case::new(name.clone(), median, reps)
+        .with("vertex_removals", removals.0 as u64)
+        .with("edge_removals", removals.1);
+    let gates = vec![gate(
+        Measure::Wall,
+        name,
+        "peel/rmat16/bucket".to_string(),
+        CTCP_COLD_MAX,
+        "the cold reducer indexes only the core and probes the shorter row",
     )];
     (vec![case], gates)
 }

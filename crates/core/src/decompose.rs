@@ -510,7 +510,7 @@ mod tests {
         let sol = solve_decomposed(&g, 2, cfg, 1);
         assert!(sol.stats.ego_subproblems > 0, "fell back");
         let names: Vec<&str> = tracer.summary().iter().map(|p| p.name).collect();
-        for phase in ["peel", "tighten", "ego"] {
+        for phase in ["peel", "heuristic", "tighten", "ego"] {
             assert!(names.contains(&phase), "no {phase} span in {names:?}");
         }
     }

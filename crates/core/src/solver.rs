@@ -158,7 +158,9 @@ impl<'g> Pipeline<'g> {
             None if config.heuristic == InitialHeuristic::None => None,
             None => Some(Arc::new(degeneracy::peel(graph))),
         };
+        drop(peel_span);
         debug_assert!(peeling.as_ref().is_none_or(|p| p.order.len() == graph.n()));
+        let heuristic_span = config.trace.as_ref().map(|t| t.span("heuristic"));
         let mut best = match (peeling.as_deref(), config.heuristic) {
             (None, _) | (_, InitialHeuristic::None) => Vec::new(),
             (Some(p), InitialHeuristic::Degen) => heuristic::degen_with(graph, k, p),
@@ -167,7 +169,7 @@ impl<'g> Pipeline<'g> {
                 heuristic::degen_opt_ls_with(graph, k, p)
             }
         };
-        drop(peel_span);
+        drop(heuristic_span);
         debug_assert!(graph.is_k_defective_clique(&best, k));
         if let Some(seed) = &config.seed_solution {
             if seed.len() > best.len() && valid_seed(graph, seed, k) {

@@ -18,18 +18,21 @@
 //! of what one core → truss → core sweep leaves behind, and never anything a
 //! solution larger than `lb` could use).
 //!
-//! The reducer is *core-first*. Construction is `O(n + m)` and counts no
-//! triangles: it indexes the edges and takes core numbers from one bucket
-//! peel, or from a peeling the caller already holds ([`Ctcp::with_peeling`]).
-//! Until supports exist no edge has died to the truss rule, so the
-//! alive graph is exactly a core, and a `tighten` that raises the degree
-//! threshold to `t` deletes the vertices of core number `< t` in bulk,
-//! walking the peel order. Supports are counted once, at the first
-//! `tighten` whose truss threshold is active, over the surviving edges
-//! only. On sparse graphs with a small clique–core gap that core is a few
-//! hundred vertices, so the triangle count the rules need is nearly free.
-//! The joint fixpoint is unique and lies inside the `(lb − k)`-core, so
-//! counting late changes no survivor.
+//! The reducer is *core-first*. Construction is `O(n + m)`, indexes no
+//! edge and counts no triangles: it copies the input CSR and takes core
+//! numbers from one bucket peel, or from a peeling the caller already
+//! holds ([`Ctcp::with_peeling`]). Until supports exist no edge has died
+//! to the truss rule, so the alive graph is exactly a core, and a
+//! `tighten` that raises the degree threshold to `t` deletes the vertices
+//! of core number `< t` in bulk by walking the peel order and flipping
+//! alive flags. Supports are counted once, at the first `tighten` whose
+//! truss threshold is active: only then is the `(neighbour, edge id)`
+//! index built, over the subgraph the surviving vertices induce, and the
+//! per-edge arrays are sized to its edges; the CSR copy is dropped. On
+//! sparse graphs with a small clique–core gap that core is a few hundred
+//! vertices, so neither the index nor the triangle count the rules need
+//! pays for the shell around it. The joint fixpoint is unique and lies
+//! inside the `(lb − k)`-core, so counting late changes no survivor.
 //!
 //! From then on, degrees and supports only ever decrease, so threshold
 //! crossings between two `tighten` calls are found by draining
@@ -89,18 +92,21 @@ pub struct Ctcp {
     /// Whether the support (RR6 / truss) rule is active.
     truss_rule: bool,
 
-    /// `edges[e] = (u, v)` with `u < v`; rows of sorted `(neighbour, e)`.
+    /// A copy of the input graph until supports are counted, `None`
+    /// after. While it is held the alive graph is the subgraph the alive
+    /// vertices induce (the `deg_t`-core), and the index, the per-edge
+    /// arrays, `deg`, `v_queued` and the buckets are empty.
+    input: Option<Graph>,
+    /// Built when supports are counted, over the vertices alive then:
+    /// `edges[e] = (u, v)` with `u < v`, rows of sorted `(neighbour, e)`.
     idx: EdgeIndex,
     /// `(core number, vertex)` in peel order (a bucket peel, or the
-    /// caller's [`Peeling`]), so core numbers never decrease along it; `peeled` is the prefix the core phase has
-    /// deleted. Empty when the core rule is off, dropped once supports
-    /// are counted.
+    /// caller's [`Peeling`]), so core numbers never decrease along it;
+    /// `peeled` is the prefix the core phase has deleted. Empty when the
+    /// core rule is off, dropped once supports are counted.
     core_order: Vec<(u32, VertexId)>,
     peeled: usize,
-    /// Whether supports have been counted. Before that the alive graph is
-    /// the `deg_t`-core and the buckets are empty.
-    counted: bool,
-    /// Triangle support per edge (empty until counted).
+    /// Triangle support per indexed edge.
     support: Vec<u32>,
     /// Alive degree per vertex.
     deg: Vec<u32>,
@@ -137,13 +143,13 @@ impl Ctcp {
     }
 
     /// Builds the reducer with each rule individually toggled (matching
-    /// `SolverConfig::enable_rr5` / `enable_rr6`). Costs `O(n + m)` and
-    /// counts no triangles: it builds the edge index, the degrees and, with
-    /// the core rule on, core numbers from one bucket peel. Triangle
-    /// supports are counted by the first [`Ctcp::tighten`] whose truss
-    /// threshold is active, over the edges that survive the core rule;
-    /// with the truss rule off they are never counted and edges only die
-    /// with their endpoints.
+    /// `SolverConfig::enable_rr5` / `enable_rr6`). Costs `O(n + m)`, a copy
+    /// of the input CSR and, with the core rule on, one bucket peel for
+    /// core numbers; it indexes no edge and counts no triangles. The first
+    /// [`Ctcp::tighten`] whose truss threshold is active indexes the edges
+    /// among the vertices that survive the core rule and counts their
+    /// triangle supports; with the truss rule off neither ever happens and
+    /// edges only die with their endpoints.
     pub fn with_rules(g: &Graph, k: usize, core_rule: bool, truss_rule: bool) -> Self {
         let core_order = if core_rule {
             let (offsets, neighbors) = g.csr();
@@ -167,7 +173,7 @@ impl Ctcp {
     /// needs. The survivors after every [`Ctcp::tighten`] are those of
     /// [`Ctcp::with_rules`]; vertices the core phase removes may come in
     /// another order, because the two peels break ties differently.
-    /// Costs `O(n + m)`.
+    /// Costs `O(n + m)` for the CSR copy and peels nothing.
     pub fn with_peeling(
         g: &Graph,
         k: usize,
@@ -198,34 +204,30 @@ impl Ctcp {
         core_order: Vec<(u32, VertexId)>,
     ) -> Self {
         let n = g.n();
-        let idx = EdgeIndex::new(g);
-        let ne = idx.edges.len();
-        let deg: Vec<u32> = (0..n as VertexId).map(|v| g.degree(v) as u32).collect();
-
         Ctcp {
             k,
             lb: 0,
             core_rule,
             truss_rule,
-            idx,
+            input: Some(g.clone()),
+            idx: EdgeIndex::default(),
             core_order,
             peeled: 0,
-            counted: false,
             support: Vec::new(),
-            deg,
+            deg: Vec::new(),
             v_alive: vec![true; n],
-            e_alive: vec![true; ne],
-            v_queued: vec![false; n],
-            e_queued: vec![false; ne],
+            e_alive: Vec::new(),
+            v_queued: Vec::new(),
+            e_queued: Vec::new(),
             vbucket: Vec::new(),
             ebucket: Vec::new(),
             deg_t: 0,
             supp_t: 0,
             alive_n: n,
-            alive_m: ne,
+            alive_m: g.m(),
             vertex_removals: 0,
             edge_removals: 0,
-            mark: ScratchMap::new(n),
+            mark: ScratchMap::new(0),
             vqueue: Vec::new(),
             equeue: Vec::new(),
         }
@@ -300,24 +302,40 @@ impl Ctcp {
         let mut out = Removals::default();
         let edges_before = self.edge_removals;
 
-        if !self.counted {
+        if let Some(g) = &self.input {
             // Core phase: the alive graph is the `deg_t`-core, so raising the
             // threshold deletes exactly the vertices whose core number is
-            // below it, which come next in peel order.
+            // below it, which come next in peel order. A tighten that goes
+            // on to count supports learns the shell's edge count from the
+            // index it builds; only a core-only one walks the shell's rows
+            // (debug builds always do, so the count can check the total).
+            let walk_rows = new_supp_t == 0 || cfg!(debug_assertions);
             while let Some(&(core, v)) = self.core_order.get(self.peeled) {
                 if core >= new_deg_t {
                     break;
                 }
                 self.peeled += 1;
-                self.remove_vertex(v, &mut out.vertices);
+                self.v_alive[v as usize] = false;
+                self.alive_n -= 1;
+                self.vertex_removals += 1;
+                out.vertices.push(v);
+                if walk_rows {
+                    let dying = g
+                        .neighbors(v)
+                        .iter()
+                        .filter(|&&w| self.v_alive[w as usize])
+                        .count();
+                    self.alive_m -= dying;
+                    self.edge_removals += dying as u64;
+                }
             }
             self.deg_t = self.deg_t.max(new_deg_t);
-            if new_supp_t > 0 {
-                self.count_supports();
-            }
+        }
+        if self.input.is_some() && new_supp_t > 0 {
+            self.count_supports();
         }
 
-        if self.counted {
+        if self.input.is_none() {
             // Drain the buckets the raised thresholds newly cover. Entries
             // are lazily invalidated: skip anything dead, already queued, or
             // filed under a stale degree/support (the live entry sits in a
@@ -367,19 +385,37 @@ impl Ctcp {
         out
     }
 
-    /// Ends the core phase: counts triangle supports over the surviving
-    /// edges and files every survivor in the degree and support buckets.
-    /// Runs once, so the warm [`Ctcp::tighten`] stays allocation-free.
+    /// Ends the core phase: indexes the subgraph the surviving vertices
+    /// induce, counts its triangle supports, sizes the per-edge arrays to
+    /// its edges, files every survivor in the degree and support buckets
+    /// and drops the input copy. The edges outside that subgraph are the
+    /// ones the core phase removed without walking their rows. Runs once,
+    /// so the warm [`Ctcp::tighten`] stays allocation-free.
     fn count_supports(&mut self) {
-        self.idx.retain(&self.v_alive, &self.e_alive);
+        let g = self.input.take().expect("supports are counted once");
+        self.idx = EdgeIndex::induced(&g, &self.v_alive);
+        drop(g);
+        let m_core = self.idx.edges.len();
+        debug_assert_eq!(m_core, self.alive_m, "indexed edges vs alive_m");
+        self.edge_removals += (self.alive_m - m_core) as u64;
+        self.alive_m = m_core;
+
         self.support = crate::truss::count_supports(&self.idx);
         let max_supp = self.support.iter().copied().max().unwrap_or(0) as usize;
         self.ebucket = vec![Vec::new(); max_supp + 1];
         for (e, &s) in self.support.iter().enumerate() {
-            if self.e_alive[e] {
-                self.ebucket[s as usize].push(e as u32);
-            }
+            self.ebucket[s as usize].push(e as u32);
         }
+        self.e_alive = vec![true; m_core];
+        self.e_queued = vec![false; m_core];
+
+        let n = self.v_alive.len();
+        self.deg = self
+            .idx
+            .offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u32)
+            .collect();
         if self.core_rule {
             let max_deg = self.deg.iter().copied().max().unwrap_or(0) as usize;
             self.vbucket = vec![Vec::new(); max_deg + 1];
@@ -389,16 +425,17 @@ impl Ctcp {
                 }
             }
         }
+        self.v_queued = vec![false; n];
+        self.mark = ScratchMap::new(n);
         self.core_order = Vec::new();
-        self.counted = true;
     }
 
     /// Files `v` under its (just decremented) degree, or queues it for
-    /// removal when it crossed the active threshold. A no-op in the core
-    /// phase and with the core rule off: no vertex buckets exist then.
+    /// removal when it crossed the active threshold. A no-op with the core
+    /// rule off: no vertex buckets exist then.
     #[inline]
     fn refile_vertex(&mut self, v: u32) {
-        if !self.counted || !self.core_rule {
+        if !self.core_rule {
             return;
         }
         let d = self.deg[v as usize];
@@ -412,10 +449,12 @@ impl Ctcp {
         }
     }
 
-    /// Files edge `e` under its (just decremented) support, or queues it.
+    /// Takes one triangle off edge `e`'s support, then files `e` under the
+    /// new support or queues it when it crossed the active threshold.
     #[inline]
-    fn refile_edge(&mut self, e: u32) {
-        let s = self.support[e as usize];
+    fn lose_support(&mut self, e: u32) {
+        let s = self.support[e as usize].saturating_sub(1);
+        self.support[e as usize] = s;
         if s < self.supp_t {
             if !self.e_queued[e as usize] {
                 self.e_queued[e as usize] = true;
@@ -428,10 +467,13 @@ impl Ctcp {
 
     /// Removes edge `e` (both endpoints alive, supports counted): two
     /// degree decrements and a support decrement for both remaining edges
-    /// of every triangle through `e`. Cost: the shorter row scan to mark,
-    /// the longer to probe.
+    /// of every triangle through `e`. Those triangles are found from the
+    /// shorter row `a`: by one binary search of the longer row `b` per
+    /// entry of `a` when `b` is much longer, else by marking `a` and
+    /// scanning `b`, which costs less per entry. Cost (row lengths as
+    /// indexed): `O(min(d_a·log d_b, d_a + d_b))`.
     fn remove_edge(&mut self, e: u32) {
-        debug_assert!(self.counted && self.e_alive[e as usize]);
+        debug_assert!(self.input.is_none() && self.e_alive[e as usize]);
         self.e_alive[e as usize] = false;
         self.alive_m -= 1;
         self.edge_removals += 1;
@@ -443,73 +485,83 @@ impl Ctcp {
         self.refile_vertex(u);
         self.refile_vertex(v);
 
-        // Common alive neighbours w: mark N(u) with the connecting edge id,
-        // probe from v's side (marking the shorter row first).
+        // Both ways visit the common alive neighbours w in ascending order
+        // and decrement (a, w) before (b, w).
         let (a, b) = if self.idx.row(u).len() <= self.idx.row(v).len() {
             (u, v)
         } else {
             (v, u)
         };
-        self.mark.reset();
-        for i in self.idx.offsets[a as usize]..self.idx.offsets[a as usize + 1] {
-            let (w, ea) = self.idx.inc[i];
-            if self.e_alive[ea as usize] {
-                self.mark.set(w as usize, ea as usize + 1);
+        let row_a = self.idx.offsets[a as usize]..self.idx.offsets[a as usize + 1];
+        let row_b = self.idx.offsets[b as usize]..self.idx.offsets[b as usize + 1];
+        let log_b = (usize::BITS - row_b.len().leading_zeros()) as usize;
+        if row_a.len() * log_b < row_a.len() + row_b.len() {
+            for i in row_a {
+                let (w, ea) = self.idx.inc[i];
+                if !self.e_alive[ea as usize] {
+                    continue;
+                }
+                let probe = self.idx.inc[row_b.clone()].binary_search_by_key(&w, |&(x, _)| x);
+                let Ok(j) = probe else {
+                    continue;
+                };
+                let eb = self.idx.inc[row_b.start + j].1;
+                if self.e_alive[eb as usize] {
+                    self.lose_support(ea);
+                    self.lose_support(eb);
+                }
             }
-        }
-        for i in self.idx.offsets[b as usize]..self.idx.offsets[b as usize + 1] {
-            let (w, eb) = self.idx.inc[i];
-            if !self.e_alive[eb as usize] {
-                continue;
+        } else {
+            self.mark.reset();
+            for i in row_a {
+                let (w, ea) = self.idx.inc[i];
+                if self.e_alive[ea as usize] {
+                    self.mark.set(w as usize, ea as usize + 1);
+                }
             }
-            let stored = self.mark.get_or(w as usize, 0);
-            if stored == 0 {
-                continue;
-            }
-            let ea = (stored - 1) as u32;
-            for edge in [ea, eb] {
-                self.support[edge as usize] = self.support[edge as usize].saturating_sub(1);
-                self.refile_edge(edge);
+            for i in row_b {
+                let (w, eb) = self.idx.inc[i];
+                let stored = self.mark.get_or(w as usize, 0);
+                if stored != 0 && self.e_alive[eb as usize] {
+                    self.lose_support((stored - 1) as u32);
+                    self.lose_support(eb);
+                }
             }
         }
     }
 
-    /// Removes vertex `v`: every incident alive edge dies (degree updates on
-    /// the far endpoints), and, once supports are counted, the third edge
-    /// of every triangle through `v` loses one support.
+    /// Removes vertex `v` (supports counted): every incident alive edge
+    /// dies (degree updates on the far endpoints), and the third edge of
+    /// every triangle through `v` loses one support.
     fn remove_vertex(&mut self, v: u32, removed: &mut Vec<VertexId>) {
-        debug_assert!(self.v_alive[v as usize]);
+        debug_assert!(self.input.is_none() && self.v_alive[v as usize]);
         self.v_alive[v as usize] = false;
         self.alive_n -= 1;
         self.vertex_removals += 1;
         removed.push(v);
         let row = self.idx.offsets[v as usize]..self.idx.offsets[v as usize + 1];
 
-        if self.counted {
-            // Snapshot + mark the alive neighbourhood first: triangle support
-            // updates must see the incident edges as they were at removal
-            // time.
-            self.mark.reset();
-            for i in row.clone() {
-                let (w, e) = self.idx.inc[i];
-                if self.e_alive[e as usize] {
-                    self.mark.set(w as usize, 1);
-                }
+        // Snapshot + mark the alive neighbourhood first: triangle support
+        // updates must see the incident edges as they were at removal time.
+        self.mark.reset();
+        for i in row.clone() {
+            let (w, e) = self.idx.inc[i];
+            if self.e_alive[e as usize] {
+                self.mark.set(w as usize, 1);
             }
-            // For each triangle (v, w, x): the surviving edge (w, x) loses
-            // one support. Enumerated from each alive neighbour w by probing
-            // its row against the mark, taking each pair once.
-            for i in row.clone() {
-                let (w, ev) = self.idx.inc[i];
-                if !self.e_alive[ev as usize] {
-                    continue;
-                }
-                for j in self.idx.offsets[w as usize]..self.idx.offsets[w as usize + 1] {
-                    let (x, ewx) = self.idx.inc[j];
-                    if x > w && self.e_alive[ewx as usize] && self.mark.get_or(x as usize, 0) == 1 {
-                        self.support[ewx as usize] = self.support[ewx as usize].saturating_sub(1);
-                        self.refile_edge(ewx);
-                    }
+        }
+        // For each triangle (v, w, x): the surviving edge (w, x) loses one
+        // support. Enumerated from each alive neighbour w by probing its row
+        // against the mark, taking each pair once.
+        for i in row.clone() {
+            let (w, ev) = self.idx.inc[i];
+            if !self.e_alive[ev as usize] {
+                continue;
+            }
+            for j in self.idx.offsets[w as usize]..self.idx.offsets[w as usize + 1] {
+                let (x, ewx) = self.idx.inc[j];
+                if x > w && self.e_alive[ewx as usize] && self.mark.get_or(x as usize, 0) == 1 {
+                    self.lose_support(ewx);
                 }
             }
         }
@@ -532,8 +584,9 @@ impl Ctcp {
     }
 
     /// Extracts the surviving universe as a relabelled graph plus the new →
-    /// old id map, built directly in CSR form. Allocates; callers count this
-    /// against `universe_rebuilds`.
+    /// old id map, built directly in CSR form from the input copy before
+    /// supports are counted and from the index after. Allocates; callers
+    /// count this against `universe_rebuilds`.
     pub fn extract_universe(&self) -> (Graph, Vec<VertexId>) {
         let keep = self.alive_vertices();
         let mut new_id: Vec<u32> = vec![u32::MAX; self.v_alive.len()];
@@ -546,10 +599,20 @@ impl Ctcp {
         for &v in &keep {
             // Each row is sorted by neighbour and `new_id` is monotone, so
             // each row comes out sorted.
-            for &(w, e) in self.idx.row(v) {
-                if self.e_alive[e as usize] {
-                    neighbors.push(new_id[w as usize]);
-                }
+            match &self.input {
+                Some(g) => neighbors.extend(
+                    g.neighbors(v)
+                        .iter()
+                        .filter(|&&w| self.v_alive[w as usize])
+                        .map(|&w| new_id[w as usize]),
+                ),
+                None => neighbors.extend(
+                    self.idx
+                        .row(v)
+                        .iter()
+                        .filter(|&&(_, e)| self.e_alive[e as usize])
+                        .map(|&(w, _)| new_id[w as usize]),
+                ),
             }
             offsets.push(neighbors.len());
         }
@@ -804,27 +867,39 @@ mod tests {
         let g = gen::chung_lu(400, 8.0, 2.2, &mut rng);
         let (k, lb) = (1, 7);
         let mut c = Ctcp::new(&g, k);
-        assert!(
-            !c.counted && c.support.is_empty(),
-            "construction counts no triangles"
-        );
+        let unindexed = |c: &Ctcp| {
+            c.input.is_some()
+                && c.idx.edges.is_empty()
+                && c.support.is_empty()
+                && c.e_alive.is_empty()
+                && c.e_queued.is_empty()
+        };
+        assert!(unindexed(&c), "construction indexes no edge");
         // Degree threshold 1, truss threshold 0: still the core phase.
         c.tighten(k + 1);
-        assert!(!c.counted && c.support.is_empty());
+        assert!(unindexed(&c));
         c.tighten(lb);
-        assert!(c.counted);
-        // Only edges inside the (lb − k)-core were ever counted.
+        assert!(c.input.is_none(), "the count drops the input copy");
+        // Every indexed edge lies inside the (lb − k)-core, and the index
+        // holds exactly that core's edges: the alive edges at the count.
         let core = crate::degeneracy::peel(&g).core;
-        let outside =
-            |&(u, v): &(VertexId, VertexId)| core[u as usize].min(core[v as usize]) < lb - k;
-        let mut outside_edges = 0;
-        for (e, edge) in c.idx.edges.iter().enumerate() {
-            if outside(edge) {
-                assert_eq!(c.support[e], 0, "edge {edge:?}");
-                outside_edges += 1;
-            }
+        for &(u, v) in &c.idx.edges {
+            assert!(
+                core[u as usize].min(core[v as usize]) >= lb - k,
+                "edge {u}-{v}"
+            );
         }
-        assert!(outside_edges > 0, "the bulk pass must remove something");
+        let (cored, _) = crate::degeneracy::k_core(&g, lb - k);
+        let m_core = c.idx.edges.len();
+        assert!(m_core < g.m(), "the bulk pass must remove something");
+        assert_eq!(m_core, cored.m());
+        for len in [c.support.len(), c.e_alive.len(), c.e_queued.len()] {
+            assert_eq!(len, m_core, "per-edge arrays are sized to the core");
+        }
+        let (_, e_removed) = c.removal_counters();
+        let drained = c.e_alive.iter().filter(|&&alive| !alive).count();
+        assert_eq!(e_removed as usize, g.m() - m_core + drained);
+        assert_eq!(m_core - drained, c.alive_m());
         assert!(c.core_order.is_empty(), "the core phase is over");
     }
 

@@ -11,7 +11,7 @@ use crate::scratch::ScratchMap;
 
 /// An indexed edge list: every undirected edge `(u, v)` with `u < v` gets a
 /// dense id, and the adjacency rows of [`Graph::csr`] carry edge ids.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EdgeIndex {
     /// `edges[e] = (u, v)` with `u < v`, in [`Graph::edges`] order.
     pub edges: Vec<(VertexId, VertexId)>,
@@ -22,30 +22,50 @@ pub struct EdgeIndex {
 }
 
 impl EdgeIndex {
-    /// Builds the index from a graph in one pass over its sorted CSR rows.
+    /// Builds the index of the whole graph; see [`EdgeIndex::induced`].
     pub fn new(g: &Graph) -> Self {
-        let (offsets, neighbors) = g.csr();
+        Self::induced(g, &vec![true; g.n()])
+    }
+
+    /// Builds the index of the subgraph of `g` induced by the vertices `v`
+    /// with `keep[v]`, in two passes over their sorted CSR rows. Ids are
+    /// dense over the kept edges, in [`Graph::edges`] order restricted to
+    /// them; vertex ids are unchanged and the row of a dropped vertex is
+    /// empty. Costs `O(n)` plus the kept vertices' input degrees.
+    pub fn induced(g: &Graph, keep: &[bool]) -> Self {
+        debug_assert_eq!(keep.len(), g.n(), "keep is for another graph");
         let n = g.n();
-        let mut edges = Vec::with_capacity(g.m());
-        let mut inc = vec![(0, 0); neighbors.len()];
+        let kept_row = |v: usize| {
+            g.neighbors(v as VertexId)
+                .iter()
+                .copied()
+                .filter(|&w| keep[w as usize])
+        };
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for (v, &kept) in keep.iter().enumerate() {
+            let len = if kept { kept_row(v).count() } else { 0 };
+            offsets.push(offsets[v] + len);
+        }
+        let mut edges = Vec::with_capacity(offsets[n] / 2);
+        let mut inc = vec![(0, 0); offsets[n]];
         // Rows are visited in ascending `u`, so the neighbours `w < v` of
-        // each `v` arrive in ascending order: `fill[v]` walks the front of
-        // row `v`, and reaches the first neighbour above `v` exactly when
-        // row `v` itself is visited.
+        // each `v` arrive in ascending order, all before row `v` itself is
+        // visited: `fill[v]` appends to row `v` in sorted order.
         let mut fill: Vec<usize> = offsets[..n].to_vec();
-        for u in 0..n {
-            for i in fill[u]..offsets[u + 1] {
-                let v = neighbors[i];
+        for u in (0..n).filter(|&u| keep[u]) {
+            for v in kept_row(u).filter(|&v| v as usize > u) {
                 let id = edges.len() as u32;
                 edges.push((u as VertexId, v));
-                inc[i] = (v, id);
+                inc[fill[u]] = (v, id);
+                fill[u] += 1;
                 inc[fill[v as usize]] = (u as VertexId, id);
                 fill[v as usize] += 1;
             }
         }
         EdgeIndex {
             edges,
-            offsets: offsets.to_vec(),
+            offsets,
             inc,
         }
     }
@@ -54,32 +74,6 @@ impl EdgeIndex {
     #[inline]
     pub fn row(&self, v: VertexId) -> &[(VertexId, u32)] {
         &self.inc[self.offsets[v as usize]..self.offsets[v as usize + 1]]
-    }
-
-    /// Shrinks the rows to a subgraph, in place and keeping rows sorted:
-    /// the row of a vertex `v` without `v_alive[v]` empties, and the other
-    /// rows keep the incidences of the edges `e` with `e_alive[e]`. A dead
-    /// vertex's edges must be dead. `edges` and the ids are unchanged, and
-    /// later row scans cost the subgraph's degrees only.
-    pub(crate) fn retain(&mut self, v_alive: &[bool], e_alive: &[bool]) {
-        let mut write = 0;
-        let mut lo = 0;
-        for (v, &alive) in v_alive.iter().enumerate() {
-            let hi = self.offsets[v + 1];
-            self.offsets[v] = write;
-            if alive {
-                for i in lo..hi {
-                    if e_alive[self.inc[i].1 as usize] {
-                        self.inc[write] = self.inc[i];
-                        write += 1;
-                    }
-                }
-            }
-            lo = hi;
-        }
-        self.offsets[v_alive.len()] = write;
-        self.inc.truncate(write);
-        self.inc.shrink_to_fit();
     }
 }
 
@@ -91,8 +85,7 @@ pub fn edge_supports(g: &Graph) -> (EdgeIndex, Vec<u32>) {
     (idx, support)
 }
 
-/// Triangle supports of the edges in the rows of `idx`; an edge whose
-/// incidences were dropped by [`EdgeIndex::retain`] gets 0.
+/// Triangle supports of the edges of `idx`.
 ///
 /// Each edge is oriented from the endpoint of lower `(degree, id)` to the
 /// higher one, so every vertex keeps at most `√(2m)` out-neighbours, and
@@ -273,6 +266,36 @@ mod tests {
         for v in g.vertices() {
             let row: Vec<VertexId> = idx.row(v).iter().map(|&(w, _)| w).collect();
             assert_eq!(row, g.neighbors(v), "row {v}");
+            for &(w, e) in idx.row(v) {
+                assert_eq!(idx.edges[e as usize], (v.min(w), v.max(w)));
+            }
+        }
+    }
+
+    #[test]
+    fn induced_index_is_the_index_of_the_induced_subgraph() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        let g = gen::chung_lu(200, 8.0, 2.2, &mut rng);
+        let keep: Vec<bool> = (0..g.n())
+            .map(|v| v % 3 != 0 || g.degree(v as VertexId) > 12)
+            .collect();
+        let idx = EdgeIndex::induced(&g, &keep);
+        let kept = |v: VertexId| keep[v as usize];
+        let edges: Vec<_> = g.edges().filter(|&(u, v)| kept(u) && kept(v)).collect();
+        assert!(!edges.is_empty() && edges.len() < g.m());
+        assert_eq!(idx.edges, edges, "ids follow Graph::edges order");
+        for v in g.vertices() {
+            let row: Vec<VertexId> = idx.row(v).iter().map(|&(w, _)| w).collect();
+            let expected: Vec<VertexId> = if kept(v) {
+                g.neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&w| kept(w))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(row, expected, "row {v}");
             for &(w, e) in idx.row(v) {
                 assert_eq!(idx.edges[e as usize], (v.min(w), v.max(w)));
             }

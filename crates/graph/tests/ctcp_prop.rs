@@ -11,9 +11,15 @@
 //! A reducer whose core order comes from the caller's tie-ordered peeling
 //! ([`Ctcp::with_peeling`]) must match the bucket-peeled one
 //! ([`Ctcp::with_rules`]) step for step.
+//!
+//! The core phase indexes no edge: it deletes a prefix of the peel order
+//! and learns the shell's edge count either from its rows or from the
+//! index it builds at the count. Every step's removals must say exactly
+//! what left, in peel order while no support exists.
 
 use kdc_graph::ctcp::{scratch_fixpoint, scratch_fixpoint_rules, Ctcp};
-use kdc_graph::{degeneracy, gen, Graph};
+use kdc_graph::degeneracy::{self, BucketPeel};
+use kdc_graph::{gen, Graph, VertexId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -243,6 +249,85 @@ proptest! {
                 prop_assert_eq!(fed.removal_counters(), own.removal_counters());
                 prop_assert_eq!((fed.alive_n(), fed.alive_m()), (own.alive_n(), own.alive_m()));
                 prop_assert_eq!(fed.extract_universe(), own.extract_universe());
+            }
+        }
+    }
+    #[test]
+    fn core_phase_removals_follow_the_peel_order_on_hub_graphs(
+        seed in 0u64..10_000,
+        n in 60usize..400,
+        avg_deg in 4usize..14,
+        beta_tenths in 21usize..28,
+        k in 0usize..4,
+        core_steps in proptest::collection::vec(0usize..5, 2..5),
+        steps in proptest::collection::vec(0usize..18, 1..4),
+    ) {
+        let g = hub_graph(seed, n, avg_deg, beta_tenths);
+        // Bounds of at most k + 1 leave the truss threshold at 0, so the
+        // first tightens stay in the core phase; the later steps come in
+        // any order and count supports once one of them raises it.
+        let schedule: Vec<usize> = core_steps
+            .iter()
+            .map(|&s| s.min(k + 1))
+            .chain(steps)
+            .collect();
+        let tie = degeneracy::peel(&g);
+        let tie_order: Vec<(usize, VertexId)> =
+            tie.order.iter().map(|&v| (tie.core[v as usize], v)).collect();
+        let (offsets, neighbors) = g.csr();
+        let mut bucket = BucketPeel::default();
+        degeneracy::peel_bucket(offsets, neighbors, &mut bucket);
+        let core = bucket.core_numbers();
+        let bucket_order: Vec<(usize, VertexId)> =
+            bucket.order().iter().map(|&v| (core[v as usize], v)).collect();
+        for rules in RULES {
+            for (fed, order) in [(true, &tie_order), (false, &bucket_order)] {
+                let mut c = if fed {
+                    Ctcp::with_peeling(&g, k, rules.0, rules.1, &tie)
+                } else {
+                    Ctcp::with_rules(&g, k, rules.0, rules.1)
+                };
+                let (mut lb, mut totals) = (0usize, (0u64, 0u64));
+                let mut alive: Vec<VertexId> = g.vertices().collect();
+                let mut m = g.m();
+                for &step in &schedule {
+                    let rem = c.tighten(step);
+                    let counted_before = rules.1 && lb > k + 1;
+                    let before = lb;
+                    lb = lb.max(step);
+                    let at = format!("lb {lb} rules {rules:?} fed {fed}");
+                    // Until supports exist the step deletes the next peel
+                    // order vertices of core number below lb − k first.
+                    if rules.0 && !counted_before {
+                        let below =
+                            |t: usize| order.iter().take_while(|&&(c, _)| c < t.saturating_sub(k)).count();
+                        let shell: Vec<VertexId> =
+                            order[below(before)..below(lb)].iter().map(|&(_, v)| v).collect();
+                        prop_assert_eq!(rem.vertices.get(..shell.len()), Some(&shell[..]), "{}", at);
+                    }
+                    let (expected, expected_keep) =
+                        scratch_fixpoint_rules(&g, k, lb, rules.0, rules.1);
+                    let mut removed = rem.vertices.clone();
+                    removed.sort_unstable();
+                    let gone: Vec<VertexId> = alive
+                        .iter()
+                        .copied()
+                        .filter(|v| expected_keep.binary_search(v).is_err())
+                        .collect();
+                    prop_assert_eq!(removed, gone, "{}", at);
+                    prop_assert_eq!(rem.edges as usize, m - expected.m(), "{}", at);
+                    prop_assert_eq!(c.alive_vertices(), expected_keep.clone(), "{}", at);
+                    let (universe, _) = c.extract_universe();
+                    prop_assert_eq!(c.alive_m(), universe.m(), "{}", at);
+                    prop_assert_eq!(&universe, &expected, "{}", at);
+                    totals.0 += rem.vertices.len() as u64;
+                    totals.1 += rem.edges;
+                    prop_assert_eq!(c.removal_counters(), totals, "{}", at);
+                    prop_assert_eq!(c.alive_n() + totals.0 as usize, g.n(), "{}", at);
+                    prop_assert_eq!(c.alive_m() + totals.1 as usize, g.m(), "{}", at);
+                    alive = expected_keep;
+                    m = expected.m();
+                }
             }
         }
     }
