@@ -9,8 +9,9 @@
 use crate::graph::{Graph, VertexId};
 use crate::scratch::ScratchMap;
 
-/// An indexed edge list: every undirected edge `(u, v)` with `u < v` gets a
-/// dense id, and the adjacency rows of [`Graph::csr`] carry edge ids.
+/// An indexed edge list of a graph, or of a subgraph it induces: every
+/// undirected edge `(u, v)` with `u < v` gets a dense id, and the sorted
+/// adjacency rows carry edge ids.
 #[derive(Clone, Debug, Default)]
 pub struct EdgeIndex {
     /// `edges[e] = (u, v)` with `u < v`, in [`Graph::edges`] order.
