@@ -307,9 +307,8 @@ impl Ctcp {
             // threshold deletes exactly the vertices whose core number is
             // below it, which come next in peel order. A tighten that goes
             // on to count supports learns the shell's edge count from the
-            // index it builds; only a core-only one walks the shell's rows
-            // (debug builds always do, so the count can check the total).
-            let walk_rows = new_supp_t == 0 || cfg!(debug_assertions);
+            // index it builds; only a core-only one walks the shell's rows.
+            let walk_rows = new_supp_t == 0;
             while let Some(&(core, v)) = self.core_order.get(self.peeled) {
                 if core >= new_deg_t {
                     break;
@@ -396,7 +395,6 @@ impl Ctcp {
         self.idx = EdgeIndex::induced(&g, &self.v_alive);
         drop(g);
         let m_core = self.idx.edges.len();
-        debug_assert_eq!(m_core, self.alive_m, "indexed edges vs alive_m");
         self.edge_removals += (self.alive_m - m_core) as u64;
         self.alive_m = m_core;
 
