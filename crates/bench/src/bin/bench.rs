@@ -12,8 +12,9 @@
 //!   per-phase nanoseconds of the tracer spans `kdc solve --profile`
 //!   prints. Plus the incremental CTCP reducer across a rising lower-bound
 //!   schedule, the tie-ordered degeneracy peel against the O(n + m)
-//!   bucket peel on `rmat16`, `Degen-opt` and the cold CTCP reducer on
-//!   `rmat16` at `k = 3`, and `io::read_graph` of `rmat16` as DIMACS.
+//!   bucket peel on `rmat16`, `Degen-opt` and the CTCP reducer (its
+//!   build, and build plus one tighten) on `rmat16` at `k = 3`, and
+//!   `io::read_graph` of `rmat16` as DIMACS.
 //! * **batch** — `planted-200-k3` swept as one batch over `k = 0..=4`
 //!   versus five fresh-session cold solves. Answers must be byte-identical
 //!   and the sweep must share at least one reducer pass and seed at least
@@ -25,7 +26,8 @@
 //!
 //! Every run checks the same-run ratio gates (kdclub/kdc nodes, word/scalar
 //! wall, tie-ordered/bucket peel wall, Degen-opt/tie-ordered peel wall,
-//! cold reducer/bucket peel wall, read_graph/bucket peel wall,
+//! reducer build/bucket peel and cold reducer/bucket peel wall,
+//! read_graph/bucket peel wall,
 //! batch/cold nodes and wall, warm/cold nodes), which hold on any machine.
 //! `--check` also gates node counts (5%) and solution sizes against a
 //! committed baseline; it reads any `BENCH_*.json` since `BENCH_5`, so
@@ -65,13 +67,20 @@ const DEGEN_OPT_MAX: f64 = 16.0;
 /// The lower bound `Degen-opt` finds on rmat16 at k = 3.
 const RMAT16_K3_LB: usize = 39;
 
-/// Bound on `cold reducer / bucket peel` wall on rmat16 at k = 3: a
-/// `Ctcp::with_peeling` plus one `tighten(RMAT16_K3_LB)`. The reducer
-/// that indexes only the (lb − k)-core and probes the shorter row of each
-/// dying edge measured 42 to 50 over 18 same-run samples on a 2-vCPU VM;
-/// the one that indexed every edge and scanned the longer row measured 56
-/// to 87.
-const CTCP_COLD_MAX: f64 = 55.0;
+/// Bound on `reducer build / bucket peel` wall on rmat16 at k = 3: a
+/// `Ctcp::with_peeling` alone. The reducer that copies the CSR and
+/// indexes nothing before its support count measured 0.05 to 0.08 over
+/// 16 same-run samples on a 2-vCPU VM; the one that built its edge index
+/// and per-edge arrays over every edge measured 0.99 to 1.34.
+const CTCP_BUILD_MAX: f64 = 0.3;
+
+/// Bound on `cold reducer / bucket peel` wall on rmat16 at k = 3: the
+/// build plus one `tighten(RMAT16_K3_LB)`. About twice the highest ratio
+/// measured (33 to 48 over 16 same-run samples on a 2-vCPU VM; 52 to 88
+/// with the index over every edge), so it catches a tighten gone
+/// superlinear rather than a constant factor; the removal counts
+/// asserted beside it pin the answer.
+const CTCP_COLD_MAX: f64 = 100.0;
 
 /// `(vertices, edges)` the cold reducer removes on rmat16 at k = 3 and
 /// lb = `RMAT16_K3_LB`: all but 691 vertices and 47,108 edges.
@@ -268,14 +277,15 @@ fn heuristic_suite(g: &Graph, reps: usize) -> Suite {
 }
 
 /// The cold reducer on the same R-MAT graph at k = 3: built from its
-/// tie-ordered peeling and tightened once to `Degen-opt`'s lower bound,
-/// gated against the O(n + m) bucket peel. Its removal counts are
-/// asserted here because `BENCH_9.json` has no row for this case.
+/// tie-ordered peeling, alone and then tightened once to `Degen-opt`'s
+/// lower bound, each gated against the O(n + m) bucket peel. Its removal
+/// counts are asserted here because `BENCH_9.json` has no row for these
+/// cases.
 fn ctcp_cold_suite(g: &Graph, reps: usize) -> Suite {
     let peeling = degeneracy::peel(g);
+    let build = || Ctcp::with_peeling(g, 3, true, true, &peeling);
     let cold = || {
-        let mut ctcp = Ctcp::with_peeling(g, 3, true, true, &peeling);
-        let rem = ctcp.tighten(RMAT16_K3_LB);
+        let rem = build().tighten(RMAT16_K3_LB);
         (rem.vertices.len(), rem.edges)
     };
     let removals = cold();
@@ -283,21 +293,37 @@ fn ctcp_cold_suite(g: &Graph, reps: usize) -> Suite {
         removals, RMAT16_K3_REMOVALS,
         "rmat16: cold reducer removals at k = 3"
     );
-    let median = median_ns(reps, || {
+    let build_median = median_ns(reps, || {
+        std::hint::black_box(build());
+    });
+    let cold_median = median_ns(reps, || {
         std::hint::black_box(cold());
     });
-    let name = "ctcp/rmat16-k3/cold".to_string();
-    let case = Case::new(name.clone(), median, reps)
-        .with("vertex_removals", removals.0 as u64)
-        .with("edge_removals", removals.1);
-    let gates = vec![gate(
-        Measure::Wall,
-        name,
-        "peel/rmat16/bucket".to_string(),
-        CTCP_COLD_MAX,
-        "the cold reducer indexes only the core and probes the shorter row",
-    )];
-    (vec![case], gates)
+    let build_name = "ctcp/rmat16-k3/build".to_string();
+    let cold_name = "ctcp/rmat16-k3/cold".to_string();
+    let cases = vec![
+        Case::new(build_name.clone(), build_median, reps),
+        Case::new(cold_name.clone(), cold_median, reps)
+            .with("vertex_removals", removals.0 as u64)
+            .with("edge_removals", removals.1),
+    ];
+    let gates = vec![
+        gate(
+            Measure::Wall,
+            build_name,
+            "peel/rmat16/bucket".to_string(),
+            CTCP_BUILD_MAX,
+            "the reducer indexes no edge before its support count",
+        ),
+        gate(
+            Measure::Wall,
+            cold_name,
+            "peel/rmat16/bucket".to_string(),
+            CTCP_COLD_MAX,
+            "the cold reducer's tighten stays near-linear on rmat16",
+        ),
+    ];
+    (cases, gates)
 }
 
 /// `io::read_graph` of the same R-MAT graph, written once as DIMACS: file
