@@ -375,6 +375,12 @@ fn handle_connection(stream: TcpStream, daemon: &Daemon) {
             kdc_faults::Action::Panic => kdc_faults::panic_now(kdc_faults::Point::Accept),
         }
     }
+    // Replies go out as soon as they are written: with Nagle's algorithm
+    // on, every streamed line after the first (`MSOLVE`'s `RESULT` lines,
+    // `verbose=1` `EVENT` lines) waits for the client's delayed ACK, tens
+    // of milliseconds, since the client sends nothing until the final
+    // line. A failure to set it only costs that latency.
+    let _ = stream.set_nodelay(true);
     let idle_ms = daemon.idle_timeout_ms.load(Ordering::Relaxed);
     if idle_ms > 0 {
         // Socket options live on the underlying fd, shared with the clone
@@ -1180,6 +1186,51 @@ mod tests {
 
         let resp = request(&addr, "SHUTDOWN").unwrap();
         assert_eq!(resp, "OK shutdown=ok mode=abort");
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn streamed_lines_are_not_held_for_delayed_acks() {
+        // An `MSOLVE` streams five `RESULT` lines before its final one while
+        // the client sends nothing. With Nagle's algorithm on the daemon's
+        // socket, every line after the first waits for the client's delayed
+        // ACK (40 ms or more on Linux) once the connection has left its
+        // quick-ACK start, so time sweeps on one long-lived connection.
+        let path = write_figure2();
+        let handle = Server::bind("127.0.0.1:0", 1).unwrap().spawn().unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut send = |line: &str| {
+            let t = std::time::Instant::now();
+            stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut lines = Vec::new();
+            loop {
+                let mut resp = String::new();
+                reader.read_line(&mut resp).unwrap();
+                let done = !resp.starts_with("RESULT ");
+                lines.push(resp.trim_end().to_string());
+                if done {
+                    return (lines, t.elapsed());
+                }
+            }
+        };
+        let (lines, _) = send(&format!("LOAD {path} AS fig2"));
+        assert!(lines[0].starts_with("OK loaded=fig2"), "{lines:?}");
+        let mut walls: Vec<Duration> = (0..6)
+            .map(|_| {
+                let (lines, wall) = send("MSOLVE fig2 k=0..4");
+                assert_eq!(lines.len(), 6, "five RESULT lines and OK: {lines:?}");
+                assert!(lines[5].starts_with("OK "), "{lines:?}");
+                wall
+            })
+            .collect();
+        walls.sort();
+        assert!(
+            walls[3] < Duration::from_millis(20),
+            "median figure-2 sweep took {:?}: streamed lines wait for ACKs",
+            walls[3]
+        );
+        assert_eq!(send("SHUTDOWN").0, ["OK shutdown=ok mode=abort"]);
         handle.join().unwrap();
     }
 
