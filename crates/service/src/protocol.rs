@@ -86,7 +86,7 @@
 //! the wire; the `KDC_FAULTS` environment variable works in any build.
 
 use std::collections::HashMap;
-use std::fmt::Display;
+use std::fmt::{Display, Write as _};
 use std::time::Duration;
 
 /// A parsed client request.
@@ -485,10 +485,20 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
     }
 }
 
-/// Builder for one-line `OK key=value ...` responses.
-#[derive(Debug, Default)]
+/// Builder for one-line `OK key=value ...` responses, written straight
+/// into the line it renders: a memo-hit `SOLVE` reply is a dozen fields,
+/// and it is built once per request on the connection thread.
+#[derive(Debug)]
 pub struct OkLine {
-    fields: Vec<(String, String)>,
+    line: String,
+}
+
+impl Default for OkLine {
+    fn default() -> Self {
+        OkLine {
+            line: String::from("OK"),
+        }
+    }
 }
 
 impl OkLine {
@@ -499,20 +509,17 @@ impl OkLine {
 
     /// Appends a `key=value` field (insertion order is preserved).
     pub fn field(mut self, key: &str, value: impl Display) -> Self {
-        self.fields.push((key.to_string(), value.to_string()));
+        self.line.push(' ');
+        self.line.push_str(key);
+        self.line.push('=');
+        // Formatting into a `String` cannot fail.
+        let _ = write!(self.line, "{value}");
         self
     }
 
     /// Renders the line (without trailing newline).
-    pub fn render(&self) -> String {
-        let mut out = String::from("OK");
-        for (k, v) in &self.fields {
-            out.push(' ');
-            out.push_str(k);
-            out.push('=');
-            out.push_str(v);
-        }
-        out
+    pub fn render(self) -> String {
+        self.line
     }
 }
 
@@ -524,8 +531,15 @@ pub fn err_line(msg: &str) -> String {
 
 /// Renders a vertex list as `a,b,c` (the protocol's list syntax).
 pub fn render_vertices(vertices: &[u32]) -> String {
-    let items: Vec<String> = vertices.iter().map(u32::to_string).collect();
-    items.join(",")
+    let mut out = String::with_capacity(vertices.len() * 6);
+    for (i, v) in vertices.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Formatting into a `String` cannot fail.
+        let _ = write!(out, "{v}");
+    }
+    out
 }
 
 #[cfg(test)]
