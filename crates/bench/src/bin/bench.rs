@@ -70,8 +70,9 @@ const RMAT16_K3_LB: usize = 39;
 /// Bound on `reducer build / bucket peel` wall on rmat16 at k = 3: a
 /// `Ctcp::with_peeling` alone. The reducer that copies the CSR and
 /// indexes nothing before its support count measured 0.05 to 0.08 over
-/// 16 same-run samples on a 2-vCPU VM; the one that built its edge index
-/// and per-edge arrays over every edge measured 0.99 to 1.34.
+/// 16 same-run samples on a 2-vCPU VM (0.08 in a `--reps 3` check); the
+/// one that built its edge index and per-edge arrays over every edge
+/// measured 0.99 to 1.34.
 const CTCP_BUILD_MAX: f64 = 0.3;
 
 /// Bound on `cold reducer / bucket peel` wall on rmat16 at k = 3: the
