@@ -440,6 +440,38 @@ fn stats_reports_counts() {
 }
 
 #[test]
+fn stats_refuses_a_graph_too_large_for_memory() {
+    // Both files size the CSR offsets at 3e9 + 1 entries, 24 GB: the reader
+    // must refuse them with exit 1 instead of aborting on the failed
+    // allocation. `ulimit -v` caps only this child's address space, so the
+    // allocation fails on any machine.
+    let dir = std::env::temp_dir().join(format!("kdc_cli_smoke_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, text, n) in [
+        ("huge.clq", "p edge 3000000000 1\n", "3000000000"),
+        ("huge.txt", "0 3000000000\n", "3000000001"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "ulimit -v 2000000; exec '{}' stats '{}'",
+                kdc_bin(),
+                path.display()
+            ))
+            .output()
+            .expect("failed to spawn sh");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: stderr {err}");
+        assert!(
+            err.contains(&format!("out of memory for a graph of {n} vertices")),
+            "{name}: stderr {err}"
+        );
+    }
+}
+
+#[test]
 fn gamma_prints_table() {
     let out = run(&["gamma", "4"]);
     assert!(out.status.success());

@@ -3,6 +3,7 @@
 //! neighbour slices.
 
 use crate::bitset::BitSet;
+use std::collections::TryReserveError;
 
 /// Vertex identifier. `u32` halves the memory traffic of `usize` ids on
 /// 64-bit targets, which matters in the branch-and-bound inner loops.
@@ -42,10 +43,26 @@ impl Graph {
     /// before deduplication.
     ///
     /// # Panics
-    /// Panics if an endpoint is `≥ n`.
+    /// Panics if an endpoint is `≥ n`, or if the CSR arrays cannot be
+    /// allocated (the graph readers get that as an error instead).
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
+        Self::try_from_edges(n, edges)
+            .unwrap_or_else(|e| panic!("cannot allocate a graph on {n} vertices: {e}"))
+    }
+
+    /// [`Graph::from_edges`], returning an error instead of aborting when
+    /// the CSR arrays (`n + 1` offsets, two slots per non-loop edge) cannot
+    /// be reserved. The graph readers build through it, so a file that
+    /// declares billions of vertices is refused, not fatal.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is `≥ n`.
+    pub(crate) fn try_from_edges(
+        n: usize,
+        edges: &[(VertexId, VertexId)],
+    ) -> Result<Self, TryReserveError> {
         // offsets[v + 1] counts v's half-edges, then becomes a prefix sum.
-        let mut offsets = vec![0usize; n + 1];
+        let mut offsets = zeroed(n + 1)?;
         for &(u, v) in edges {
             assert!(
                 (u as usize) < n && (v as usize) < n,
@@ -62,7 +79,7 @@ impl Graph {
         // Scatter with offsets[v] as v's write cursor: afterwards it points
         // at the end of row v, the start of row v + 1, so one shift right
         // restores the row starts.
-        let mut neighbors = vec![0; offsets[n]];
+        let mut neighbors = zeroed(offsets[n])?;
         for &(u, v) in edges {
             if u != v {
                 neighbors[offsets[u as usize]] = v;
@@ -93,7 +110,7 @@ impl Graph {
         offsets[n] = write;
         neighbors.truncate(write);
         neighbors.shrink_to_fit();
-        Self::from_csr(offsets, neighbors)
+        Ok(Self::from_csr(offsets, neighbors))
     }
 
     /// Builds a graph from per-vertex adjacency lists. Lists are sorted and
@@ -382,6 +399,14 @@ impl Graph {
     }
 }
 
+/// A zero-filled vector of `len` elements, reserved fallibly.
+fn zeroed<T: Clone + Default>(len: usize) -> Result<Vec<T>, TryReserveError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)?;
+    v.resize(len, T::default());
+    Ok(v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,5 +533,11 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         Graph::from_edges(2, &[(0, 2)]);
+    }
+
+    #[test]
+    fn an_unallocatable_graph_is_an_error() {
+        // More offset bytes than `isize::MAX`: refused before any allocation.
+        assert!(Graph::try_from_edges(usize::MAX / 8, &[]).is_err());
     }
 }

@@ -1,14 +1,26 @@
 //! Graph file formats: whitespace edge lists, DIMACS `.clq` and METIS.
 //!
 //! The three readers take any [`BufRead`] (a file behind a `BufReader`, or
-//! `text.as_bytes()`) and share one byte-level tokenizer. Lines end at
+//! `text.as_bytes()`) and share one line-batched tokenizer. Lines end at
 //! `\n`; tokens are separated by ASCII blanks (space, tab, `\r`, vertical
 //! tab, form feed), so CRLF files read like LF ones; numbers are ASCII
-//! digits with an optional leading `+`. A file is tokenized once, in one
-//! pass, into one flat edge buffer, and [`Graph::from_edges`] turns that
-//! buffer into CSR in two passes (count degrees, then fill, sort and dedup
-//! each row in place). Peak memory is that one edge buffer plus the CSR:
-//! there is no whole-file string and no per-vertex list.
+//! digits with an optional leading `+`.
+//!
+//! The tokenizer takes each `fill_buf` slice as the reader hands it out
+//! and parses every complete line in it in place, indexing the slice once
+//! per token step. Only a line that straddles two reads is assembled, in a
+//! small carry buffer, and only as much of it as its reader looks at: the
+//! first byte of a comment line, the first two or three tokens of an edge
+//! or header line (trailing columns are skipped), and a METIS adjacency
+//! row whole. [`read_graph`] reads through a 64 KiB `BufReader`.
+//!
+//! A file is tokenized once, in one pass, into one flat edge buffer, and
+//! the builder behind [`Graph::from_edges`] turns that buffer into CSR in
+//! two passes (count degrees, then fill, sort and dedup each row in
+//! place). Peak memory is that edge buffer plus the CSR plus one carried
+//! line: there is no whole-file buffer and no per-vertex list. The edge
+//! buffer and the CSR arrays are reserved fallibly, so a graph that does
+//! not fit in memory is an [`IoError::TooLarge`], not an abort.
 //!
 //! Nothing is decoded as text, so comment lines may hold any bytes,
 //! including non-UTF-8 ones. Vertex ids must fit `u32`: an id of `u32::MAX`
@@ -39,6 +51,13 @@ pub enum IoError {
         /// Human-readable description of the problem.
         msg: String,
     },
+    /// The edge buffer or the CSR arrays could not be allocated.
+    TooLarge {
+        /// Vertex count: the declared one, or the largest id read plus one.
+        n: usize,
+        /// Edges read when the allocation failed.
+        m: usize,
+    },
 }
 
 impl fmt::Display for IoError {
@@ -46,6 +65,9 @@ impl fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "i/o error: {e}"),
             IoError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
+            IoError::TooLarge { n, m } => {
+                write!(f, "out of memory for a graph of {n} vertices and {m} edges")
+            }
         }
     }
 }
@@ -63,51 +85,37 @@ fn file_error(msg: String) -> IoError {
     IoError::Parse { line: 0, msg }
 }
 
+/// The buffer [`read_graph`] reads a file through.
+const READ_BUFFER: usize = 1 << 16;
+
 /// Bytes that separate tokens within a line: the ASCII characters
 /// `char::is_whitespace` accepts, minus the line feed that ends a line.
 fn is_blank(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\r' | 0x0B | 0x0C)
 }
 
-fn ends_token(b: u8) -> bool {
-    b == b'\n' || is_blank(b)
-}
-
 /// What a line holds after its leading blanks.
 enum Head {
-    /// End of input: the line has no bytes at all.
-    Eof,
-    /// Nothing but blanks up to the line feed or the end of input.
+    /// Nothing but blanks.
     Blank,
     /// The first non-blank byte, not yet consumed.
     Byte(u8),
 }
 
-/// The byte tokenizer the three readers share. It scans a window copied
-/// out of the reader's buffer one `fill_buf` at a time, so every token
-/// step is an index into a slice and tokens may straddle windows.
-struct Lexer<R> {
-    src: R,
-    window: Box<[u8]>,
-    /// Next unread byte of `window[..end]`.
+/// A cursor over complete lines: every line of `bytes` ends at a `\n` or
+/// at the end of `bytes`. Each token step is one index into the slice.
+struct Cursor<'a> {
+    bytes: &'a [u8],
     pos: usize,
-    end: usize,
-    /// 1-based line of the next unread byte.
+    /// 1-based line of `pos`.
     line: usize,
 }
 
-impl<R: BufRead> Lexer<R> {
-    fn new(src: R) -> Self {
-        Lexer {
-            src,
-            window: vec![0; 1 << 13].into_boxed_slice(),
-            pos: 0,
-            end: 0,
-            line: 1,
-        }
-    }
-
-    /// A parse error on the current line.
+impl<'a> Cursor<'a> {
+    /// A parse error on the current line. Cold, so the token steps that
+    /// may fail stay small enough to inline.
+    #[cold]
+    #[inline(never)]
     fn error(&self, msg: impl Into<String>) -> IoError {
         IoError::Parse {
             line: self.line,
@@ -115,131 +123,117 @@ impl<R: BufRead> Lexer<R> {
         }
     }
 
-    /// The next unread byte, `None` at the end of input.
+    /// The line's next byte, `None` at its end.
     #[inline]
-    fn peek(&mut self) -> Result<Option<u8>, IoError> {
-        if self.pos < self.end {
-            return Ok(Some(self.window[self.pos]));
-        }
-        self.refill()
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied().filter(|&b| b != b'\n')
     }
 
-    #[cold]
-    fn refill(&mut self) -> Result<Option<u8>, IoError> {
-        let chunk = self.src.fill_buf()?;
-        let n = chunk.len().min(self.window.len());
-        self.window[..n].copy_from_slice(&chunk[..n]);
-        self.src.consume(n);
-        (self.pos, self.end) = (0, n);
-        Ok(self.window[..n].first().copied())
-    }
-
-    /// Consumes blanks; returns whether there were any.
-    fn skip_blanks(&mut self) -> Result<bool, IoError> {
-        let mut skipped = false;
-        while let Some(b) = self.peek()? {
-            if !is_blank(b) {
-                break;
-            }
+    #[inline]
+    fn skip_blanks(&mut self) {
+        while self.peek().is_some_and(is_blank) {
             self.pos += 1;
-            skipped = true;
         }
-        Ok(skipped)
     }
 
     /// Skips the line's leading blanks and reports what follows.
-    fn head(&mut self) -> Result<Head, IoError> {
-        let skipped = self.skip_blanks()?;
-        Ok(match self.peek()? {
-            None if !skipped => Head::Eof,
-            None | Some(b'\n') => Head::Blank,
+    #[inline]
+    fn head(&mut self) -> Head {
+        self.skip_blanks();
+        match self.peek() {
+            None => Head::Blank,
             Some(b) => Head::Byte(b),
-        })
+        }
     }
 
-    /// Consumes the rest of the line, its line feed included.
-    fn next_line(&mut self) -> Result<(), IoError> {
-        while let Some(b) = self.peek()? {
-            self.pos += 1;
-            if b == b'\n' {
-                self.line += 1;
-                break;
-            }
-        }
-        Ok(())
+    /// Moves past the rest of the line and its line feed.
+    #[inline]
+    fn next_line(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |i| i + 1);
+        self.line += 1;
     }
 
-    /// Reads the line's next token, keeping its first `N` bytes. Returns
-    /// them with the token's full length, 0 when the line has no more
-    /// tokens.
-    fn word<const N: usize>(&mut self) -> Result<([u8; N], usize), IoError> {
-        self.skip_blanks()?;
-        let (mut out, mut len) = ([0u8; N], 0);
-        while let Some(b) = self.peek()? {
-            if ends_token(b) {
-                break;
-            }
-            if let Some(slot) = out.get_mut(len) {
-                *slot = b;
-            }
+    /// The line's next token, empty when it has no more.
+    #[inline]
+    fn word(&mut self) -> &'a [u8] {
+        self.skip_blanks();
+        let start = self.pos;
+        while self.peek().is_some_and(|b| !is_blank(b)) {
             self.pos += 1;
-            len += 1;
         }
-        Ok((out, len))
+        &self.bytes[start..self.pos]
     }
 
     /// Reads the line's next token as a decimal number: `None` when the
     /// line has no more tokens, an error when the token is not a number or
-    /// overflows `u64`.
+    /// overflows `u64`. Inlined into every reader's record loop: the error
+    /// paths are cold calls, so a well-formed number costs one index, one
+    /// compare and one multiply-add per digit.
+    #[inline(always)]
     fn num(&mut self) -> Result<Option<u64>, IoError> {
-        self.skip_blanks()?;
-        let signed = self.peek()? == Some(b'+');
-        if signed {
-            self.pos += 1;
-        }
-        let (mut value, mut digits, mut overflow) = (0u64, 0, false);
-        let stop = loop {
-            match self.peek()? {
-                Some(b) if b.is_ascii_digit() => {
-                    let d = u64::from(b - b'0');
-                    if digits < 19 {
-                        value = value * 10 + d;
-                    } else {
-                        match value.checked_mul(10).and_then(|v| v.checked_add(d)) {
-                            Some(v) => value = v,
-                            None => overflow = true,
-                        }
-                    }
-                    digits += 1;
-                    self.pos += 1;
-                }
-                stop => break stop,
+        self.skip_blanks();
+        let signed = self.peek() == Some(b'+');
+        let start = self.pos + usize::from(signed);
+        let (mut pos, mut value) = (start, 0u64);
+        while let Some(d) = self.bytes.get(pos).map(|b| b.wrapping_sub(b'0')) {
+            if d > 9 {
+                break;
             }
-        };
-        match stop {
-            Some(b) if !ends_token(b) => Err(self.error(format!(
+            value = value.wrapping_mul(10).wrapping_add(u64::from(d));
+            pos += 1;
+        }
+        self.pos = pos;
+        let digits = pos - start;
+        // Up to 19 digits cannot overflow `u64`.
+        if self.peek().is_some_and(|b| !is_blank(b)) || (signed && digits == 0) || digits > 19 {
+            return self.slow_number(start);
+        }
+        Ok((digits > 0).then_some(value))
+    }
+
+    /// A token [`Cursor::num`] could not take on its fast path: the digits
+    /// from `start` to the cursor, then whatever stopped them. Either an
+    /// error or a number of more than 19 digits that still fits `u64`.
+    #[cold]
+    #[inline(never)]
+    fn slow_number(&self, start: usize) -> Result<Option<u64>, IoError> {
+        let digits = &self.bytes[start..self.pos];
+        match self.peek() {
+            Some(b) if !is_blank(b) => Err(self.error(format!(
                 "invalid number: unexpected byte {:?}",
                 char::from(b)
             ))),
-            _ if digits == 0 && signed => Err(self.error("invalid number: `+` without digits")),
-            _ if digits == 0 => Ok(None),
-            _ if overflow => Err(self.error("number overflows u64")),
-            _ => Ok(Some(value)),
+            _ if digits.is_empty() => Err(self.error("invalid number: `+` without digits")),
+            _ => digits
+                .iter()
+                .try_fold(0u64, |v, &b| {
+                    v.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+                })
+                .map(Some)
+                .ok_or_else(|| self.error("number overflows u64")),
         }
     }
 
     /// The line's next token as a number; `what` names it when missing.
+    #[inline(always)]
     fn number(&mut self, what: &str) -> Result<u64, IoError> {
-        self.num()?
-            .ok_or_else(|| self.error(format!("missing {what}")))
+        match self.num()? {
+            Some(v) => Ok(v),
+            None => Err(self.error(format!("missing {what}"))),
+        }
     }
 
     /// A 0-based vertex id: it must leave room for `n = id + 1 ≤ u32::MAX`.
+    #[inline]
     fn vertex_id(&self, id: u64) -> Result<VertexId, IoError> {
-        VertexId::try_from(id)
-            .ok()
-            .filter(|&v| v < VertexId::MAX)
-            .ok_or_else(|| self.error(format!("vertex id {id} does not fit u32")))
+        match VertexId::try_from(id) {
+            Ok(v) if v < VertexId::MAX => Ok(v),
+            _ => Err(self.error(format!("vertex id {id} does not fit u32"))),
+        }
     }
 
     /// A declared vertex count: at most `u32::MAX`.
@@ -250,91 +244,407 @@ impl<R: BufRead> Lexer<R> {
     }
 }
 
+/// How much of a line its reader looks at, judged from the line's first
+/// non-blank byte. Only a line that straddles two reads is cut to it.
+#[derive(Clone, Copy)]
+enum Keep {
+    /// The first `k` tokens whole and the first byte of the next one, so
+    /// the reader still sees whether the line goes on: `Tokens(0)` keeps a
+    /// comment's marking byte, `Tokens(1)` tells `c <text>` from a bare `c`.
+    Tokens(usize),
+    /// The whole line: a METIS adjacency row.
+    Line,
+}
+
+/// One file format: what it keeps of a straddling line, how it parses a
+/// line, and the graph it builds at the end of the input.
+trait Records {
+    /// How much of a line whose first non-blank byte is `first` to keep.
+    fn keep(&self, first: u8) -> Keep;
+
+    /// Parses the cursor's current line, stopping anywhere on it.
+    fn record(&mut self, line: &mut Cursor<'_>) -> Result<(), IoError>;
+
+    /// The graph, once every line is parsed.
+    fn finish(self) -> Result<Graph, IoError>;
+}
+
+/// The start of a line that straddles two reads, cut to what its reader
+/// keeps. Leading blanks are dropped.
+#[derive(Default)]
+struct Carry {
+    bytes: Vec<u8>,
+    /// Whether a line is open; it may have no kept byte yet.
+    open: bool,
+    /// What to keep, once the line's first non-blank byte is seen.
+    keep: Option<Keep>,
+    /// Tokens begun in `bytes`.
+    tokens: usize,
+}
+
+impl Carry {
+    /// Appends `seg`, the next piece of the open line without its `\n`.
+    fn feed(&mut self, seg: &[u8], reader: &impl Records) {
+        self.open = true;
+        let (keep, seg) = match self.keep {
+            Some(keep) => (keep, seg),
+            None => match seg.iter().position(|&b| !is_blank(b)) {
+                Some(i) => (reader.keep(seg[i]), &seg[i..]),
+                None => return,
+            },
+        };
+        self.keep = Some(keep);
+        match keep {
+            Keep::Tokens(k) => {
+                for &b in seg {
+                    if self.tokens > k {
+                        break;
+                    }
+                    let starts = !is_blank(b) && self.bytes.last().is_none_or(|&l| is_blank(l));
+                    self.tokens += usize::from(starts);
+                    self.bytes.push(b);
+                }
+            }
+            Keep::Line => self.bytes.extend_from_slice(seg),
+        }
+    }
+
+    /// Parses the carried line as line `line` and empties the carry.
+    fn emit(&mut self, reader: &mut impl Records, line: usize) -> Result<(), IoError> {
+        reader.record(&mut Cursor {
+            bytes: &self.bytes,
+            pos: 0,
+            line,
+        })?;
+        self.bytes.clear();
+        (self.open, self.keep, self.tokens) = (false, None, 0);
+        Ok(())
+    }
+}
+
+/// Feeds every line of `src` to `reader`: the complete lines of each
+/// `fill_buf` slice in place, a straddling one through `carry`.
+fn scan(
+    mut src: impl BufRead,
+    reader: &mut impl Records,
+    carry: &mut Carry,
+) -> Result<(), IoError> {
+    let mut line = 1;
+    loop {
+        let chunk = src.fill_buf()?;
+        let len = chunk.len();
+        if len == 0 {
+            break;
+        }
+        let mut start = 0;
+        if carry.open {
+            let Some(nl) = chunk.iter().position(|&b| b == b'\n') else {
+                carry.feed(chunk, reader);
+                src.consume(len);
+                continue;
+            };
+            carry.feed(&chunk[..nl], reader);
+            carry.emit(reader, line)?;
+            line += 1;
+            start = nl + 1;
+        }
+        // Every line of `chunk[start..end]` ends with its line feed.
+        let end = chunk[start..]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(start, |i| start + i + 1);
+        let mut cursor = Cursor {
+            bytes: &chunk[..end],
+            pos: start,
+            line,
+        };
+        while cursor.pos < end {
+            reader.record(&mut cursor)?;
+            cursor.next_line();
+        }
+        line = cursor.line;
+        if end < len {
+            carry.feed(&chunk[end..], reader);
+        }
+        src.consume(len);
+    }
+    if carry.open {
+        carry.emit(reader, line)?;
+    }
+    Ok(())
+}
+
+/// Parses all of `src` with `reader` and builds its graph.
+fn read_records(src: impl BufRead, mut reader: impl Records) -> Result<Graph, IoError> {
+    scan(src, &mut reader, &mut Carry::default())?;
+    reader.finish()
+}
+
+/// Appends an edge, growing the buffer fallibly; `n` is the vertex count
+/// an allocation failure reports.
+fn push_edge(
+    edges: &mut Vec<(VertexId, VertexId)>,
+    edge: (VertexId, VertexId),
+    n: usize,
+) -> Result<(), IoError> {
+    if edges.len() == edges.capacity() {
+        edges
+            .try_reserve(1)
+            .map_err(|_| IoError::TooLarge { n, m: edges.len() })?;
+    }
+    edges.push(edge);
+    Ok(())
+}
+
+/// Builds the CSR of `edges` on `n` vertices, failing instead of aborting
+/// when it does not fit in memory.
+fn build(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Graph, IoError> {
+    Graph::try_from_edges(n, edges).map_err(|_| IoError::TooLarge { n, m: edges.len() })
+}
+
+/// A whitespace edge list.
+struct EdgeList {
+    one_based: bool,
+    /// The largest id read plus one.
+    n: usize,
+    edges: Vec<(VertexId, VertexId)>,
+}
+
+impl EdgeList {
+    #[inline(always)]
+    fn id(&self, line: &mut Cursor<'_>) -> Result<VertexId, IoError> {
+        let raw = line.number("vertex id (expected two)")?;
+        let id = match (self.one_based, raw) {
+            (true, 0) => return Err(line.error("vertex id 0 in a 1-based edge list")),
+            (true, _) => raw - 1,
+            (false, _) => raw,
+        };
+        line.vertex_id(id)
+    }
+}
+
+impl Records for EdgeList {
+    fn keep(&self, first: u8) -> Keep {
+        match first {
+            b'#' | b'%' => Keep::Tokens(0),
+            // `c` and the start of a comment's text.
+            b'c' => Keep::Tokens(1),
+            _ => Keep::Tokens(2),
+        }
+    }
+
+    #[inline(always)]
+    fn record(&mut self, line: &mut Cursor<'_>) -> Result<(), IoError> {
+        match line.head() {
+            Head::Blank | Head::Byte(b'#' | b'%') => {}
+            Head::Byte(b'c') => {
+                // `c <text>` is a comment; any other token starting with
+                // `c`, or a bare `c`, is a malformed record.
+                let comment = line.word().len() == 1
+                    && line.peek() == Some(b' ')
+                    && matches!(line.head(), Head::Byte(_));
+                if !comment {
+                    return Err(line.error("expected two vertex ids"));
+                }
+            }
+            Head::Byte(_) => {
+                let u = self.id(line)?;
+                let v = self.id(line)?;
+                self.n = self.n.max(u.max(v) as usize + 1);
+                push_edge(&mut self.edges, (u, v), self.n)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Graph, IoError> {
+        build(self.n, &self.edges)
+    }
+}
+
 /// Parses a whitespace-separated edge list. Lines starting with `#`, `%` or
 /// `c ` are comments; columns after the first two are ignored. Vertex ids
 /// may be any non-negative integers below `u32::MAX`; the graph is sized by
 /// the maximum id (+1). If `one_based`, ids are shifted down by one.
 pub fn parse_edge_list(src: impl BufRead, one_based: bool) -> Result<Graph, IoError> {
-    let mut lex = Lexer::new(src);
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut n = 0usize;
-    let id = |lex: &mut Lexer<_>| -> Result<VertexId, IoError> {
-        let raw = lex.number("vertex id (expected two)")?;
-        let id = match (one_based, raw) {
-            (true, 0) => return Err(lex.error("vertex id 0 in a 1-based edge list")),
-            (true, _) => raw - 1,
-            (false, _) => raw,
-        };
-        lex.vertex_id(id)
+    let reader = EdgeList {
+        one_based,
+        n: 0,
+        edges: Vec::new(),
     };
-    loop {
-        match lex.head()? {
-            Head::Eof => break,
-            Head::Blank | Head::Byte(b'#' | b'%') => {}
-            Head::Byte(b'c') => {
-                // `c <text>` is a comment; any other token starting with
-                // `c`, or a bare `c`, is a malformed record.
-                let (_, len) = lex.word::<1>()?;
-                let comment =
-                    len == 1 && lex.peek()? == Some(b' ') && matches!(lex.head()?, Head::Byte(_));
-                if !comment {
-                    return Err(lex.error("expected two vertex ids"));
-                }
-            }
-            Head::Byte(_) => {
-                let u = id(&mut lex)?;
-                let v = id(&mut lex)?;
-                n = n.max(u.max(v) as usize + 1);
-                edges.push((u, v));
-            }
+    read_records(src, reader)
+}
+
+/// A DIMACS `.clq`/`.col` file.
+#[derive(Default)]
+struct Dimacs {
+    /// The last header's vertex count.
+    n: Option<usize>,
+    edges: Vec<(VertexId, VertexId)>,
+}
+
+impl Dimacs {
+    #[inline(always)]
+    fn endpoint(line: &mut Cursor<'_>) -> Result<VertexId, IoError> {
+        match line.number("endpoint")? {
+            0 => Err(line.error("DIMACS ids are 1-based")),
+            raw => line.vertex_id(raw - 1),
         }
-        lex.next_line()?;
     }
-    Ok(Graph::from_edges(n, &edges))
+}
+
+impl Records for Dimacs {
+    fn keep(&self, first: u8) -> Keep {
+        match first {
+            b'c' => Keep::Tokens(0),
+            // `p <format> <n>` or `e <u> <v>`.
+            _ => Keep::Tokens(3),
+        }
+    }
+
+    #[inline(always)]
+    fn record(&mut self, line: &mut Cursor<'_>) -> Result<(), IoError> {
+        match line.head() {
+            Head::Blank | Head::Byte(b'c') => {}
+            Head::Byte(_) => match line.word() {
+                b"p" => {
+                    line.word(); // the format, `edge` or `col`
+                    let count = line.number("vertex count")?;
+                    self.n = Some(line.vertex_count(count)?);
+                }
+                b"e" => {
+                    let u = Self::endpoint(line)?;
+                    let v = Self::endpoint(line)?;
+                    push_edge(&mut self.edges, (u, v), self.n.unwrap_or(0))?;
+                }
+                _ => return Err(line.error("unknown record (expected `c`, `p` or `e`)")),
+            },
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Graph, IoError> {
+        let n = self
+            .n
+            .ok_or_else(|| file_error("missing `p edge` header".into()))?;
+        if let Some(&(u, v)) = self.edges.iter().find(|&&(u, v)| u.max(v) as usize >= n) {
+            return Err(file_error(format!(
+                "edge ({}, {}) exceeds declared n = {n}",
+                u + 1,
+                v + 1
+            )));
+        }
+        build(n, &self.edges)
+    }
 }
 
 /// Parses a DIMACS `.clq`/`.col` graph: `c` comment lines, a
 /// `p edge <n> <m>` header and `e <u> <v>` edge lines with 1-based ids.
 /// The last header wins; its edge count is not used.
 pub fn parse_dimacs(src: impl BufRead) -> Result<Graph, IoError> {
-    let mut lex = Lexer::new(src);
-    let mut n: Option<usize> = None;
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let id = |lex: &mut Lexer<_>| -> Result<VertexId, IoError> {
-        match lex.number("endpoint")? {
-            0 => Err(lex.error("DIMACS ids are 1-based")),
-            raw => lex.vertex_id(raw - 1),
+    read_records(src, Dimacs::default())
+}
+
+/// A METIS file's header line.
+struct MetisHeader {
+    line: usize,
+    n: usize,
+    m: u64,
+}
+
+/// A METIS file: its header, then one adjacency row per vertex.
+#[derive(Default)]
+struct Metis {
+    header: Option<MetisHeader>,
+    /// Adjacency rows read so far.
+    row: usize,
+    edges: Vec<(VertexId, VertexId)>,
+}
+
+impl Records for Metis {
+    fn keep(&self, first: u8) -> Keep {
+        match first {
+            b'%' => Keep::Tokens(0),
+            // `<n> <m> [fmt]`.
+            _ if self.header.is_none() => Keep::Tokens(3),
+            _ => Keep::Line,
         }
-    };
-    loop {
-        match lex.head()? {
-            Head::Eof => break,
-            Head::Blank | Head::Byte(b'c') => {}
-            Head::Byte(_) => match lex.word::<1>()? {
-                ([b'p'], 1) => {
-                    lex.word::<0>()?; // the format, `edge` or `col`
-                    let count = lex.number("vertex count")?;
-                    n = Some(lex.vertex_count(count)?);
+    }
+
+    #[inline(always)]
+    fn record(&mut self, line: &mut Cursor<'_>) -> Result<(), IoError> {
+        let head = line.head();
+        let Some(header) = &self.header else {
+            // Blank lines before the header are skipped, but *blank* lines
+            // after it are meaningful: they are the adjacency rows of
+            // isolated vertices.
+            if let Head::Byte(b) = head {
+                if b != b'%' {
+                    self.header = Some(metis_header(line)?);
                 }
-                ([b'e'], 1) => {
-                    let u = id(&mut lex)?;
-                    let v = id(&mut lex)?;
-                    edges.push((u, v));
+            }
+            return Ok(());
+        };
+        let n = header.n;
+        match head {
+            Head::Byte(b'%') => {}
+            // Trailing blank lines are tolerated.
+            Head::Blank if self.row >= n => {}
+            _ if self.row >= n => {
+                return Err(line.error("more adjacency rows than declared vertices"))
+            }
+            _ => {
+                while let Some(v) = line.num()? {
+                    if v == 0 || v > n as u64 {
+                        return Err(line.error(format!("neighbour id {v} out of range 1..={n}")));
+                    }
+                    push_edge(
+                        &mut self.edges,
+                        (self.row as VertexId, (v - 1) as VertexId),
+                        n,
+                    )?;
                 }
-                _ => return Err(lex.error("unknown record (expected `c`, `p` or `e`)")),
-            },
+                self.row += 1;
+            }
         }
-        lex.next_line()?;
+        Ok(())
     }
-    let n = n.ok_or_else(|| file_error("missing `p edge` header".into()))?;
-    if let Some(&(u, v)) = edges.iter().find(|&&(u, v)| u.max(v) as usize >= n) {
-        return Err(file_error(format!(
-            "edge ({}, {}) exceeds declared n = {n}",
-            u + 1,
-            v + 1
-        )));
+
+    fn finish(self) -> Result<Graph, IoError> {
+        let header = self
+            .header
+            .ok_or_else(|| file_error("empty METIS file".into()))?;
+        if self.row != header.n {
+            return Err(file_error(format!(
+                "expected {} adjacency rows, found {}",
+                header.n, self.row
+            )));
+        }
+        let g = build(header.n, &self.edges)?;
+        if g.m() as u64 != header.m {
+            return Err(IoError::Parse {
+                line: header.line,
+                msg: format!("header declares {} edges, file has {}", header.m, g.m()),
+            });
+        }
+        Ok(g)
     }
-    Ok(Graph::from_edges(n, &edges))
+}
+
+/// Parses a METIS header, `<n> <m> [fmt]`, from its first token on.
+fn metis_header(line: &mut Cursor<'_>) -> Result<MetisHeader, IoError> {
+    let count = line.number("vertex count")?;
+    let n = line.vertex_count(count)?;
+    let m = line.number("edge count")?;
+    let fmt = line.word();
+    if fmt.len() > 3 || fmt.iter().any(|&b| b != b'0') {
+        return Err(line.error("unsupported METIS fmt (weights not supported)"));
+    }
+    Ok(MetisHeader {
+        line: line.line,
+        n,
+        m,
+    })
 }
 
 /// Parses a METIS graph file (the DIMACS10 distribution format): a header
@@ -343,59 +653,7 @@ pub fn parse_dimacs(src: impl BufRead) -> Result<Graph, IoError> {
 /// `%` lines are comments anywhere; one-sided adjacency entries are
 /// symmetrised.
 pub fn parse_metis(src: impl BufRead) -> Result<Graph, IoError> {
-    let mut lex = Lexer::new(src);
-    // Blank lines before the header are skipped, but *blank* lines after it
-    // are meaningful: they are the adjacency rows of isolated vertices.
-    loop {
-        match lex.head()? {
-            Head::Eof => return Err(file_error("empty METIS file".into())),
-            Head::Blank | Head::Byte(b'%') => lex.next_line()?,
-            Head::Byte(_) => break,
-        }
-    }
-    let header = lex.line;
-    let count = lex.number("vertex count")?;
-    let n = lex.vertex_count(count)?;
-    let declared_m = lex.number("edge count")?;
-    let (fmt, len) = lex.word::<3>()?;
-    if len > 3 || fmt[..len].iter().any(|&b| b != b'0') {
-        return Err(lex.error("unsupported METIS fmt (weights not supported)"));
-    }
-    lex.next_line()?;
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut row = 0usize;
-    loop {
-        match lex.head()? {
-            Head::Eof => break,
-            Head::Byte(b'%') => {}
-            // Trailing blank lines are tolerated.
-            Head::Blank if row >= n => {}
-            _ if row >= n => return Err(lex.error("more adjacency rows than declared vertices")),
-            _ => {
-                while let Some(v) = lex.num()? {
-                    if v == 0 || v > n as u64 {
-                        return Err(lex.error(format!("neighbour id {v} out of range 1..={n}")));
-                    }
-                    edges.push((row as VertexId, (v - 1) as VertexId));
-                }
-                row += 1;
-            }
-        }
-        lex.next_line()?;
-    }
-    if row != n {
-        return Err(file_error(format!(
-            "expected {n} adjacency rows, found {row}"
-        )));
-    }
-    let g = Graph::from_edges(n, &edges);
-    if g.m() as u64 != declared_m {
-        return Err(IoError::Parse {
-            line: header,
-            msg: format!("header declares {declared_m} edges, file has {}", g.m()),
-        });
-    }
-    Ok(g)
+    read_records(src, Metis::default())
 }
 
 /// Parses `src` in the format `path`'s extension names: `.clq`/`.col`/
@@ -412,7 +670,7 @@ pub fn parse_by_extension(path: &Path, src: impl BufRead) -> Result<Graph, IoErr
 /// Reads a graph file, streaming it through [`parse_by_extension`].
 pub fn read_graph(path: &Path) -> Result<Graph, IoError> {
     let file = fs::File::open(path)?;
-    parse_by_extension(path, BufReader::new(file))
+    parse_by_extension(path, BufReader::with_capacity(READ_BUFFER, file))
 }
 
 /// Creates `path`, lets `body` write it through a buffer, and flushes,
@@ -1093,7 +1351,7 @@ mod tests {
     fn outcome(r: Result<Graph, IoError>) -> Result<Graph, usize> {
         r.map_err(|e| match e {
             IoError::Parse { line, .. } => line,
-            IoError::Io(e) => panic!("in-memory read failed: {e}"),
+            other => panic!("in-memory read failed: {other}"),
         })
     }
 
@@ -1161,6 +1419,176 @@ mod tests {
         fn metis_reader_matches_str_oracle(seed in any::<u64>(), cap in 1usize..8) {
             let (text, big) = metis_file(&mut seeded_rng(seed));
             agrees(&text, big, cap, |src| parse_metis(src), oracle::parse_metis)?;
+        }
+    }
+
+    // ---- read boundaries at the production buffer size -----------------
+
+    /// Reads `text` through a `READ_BUFFER`-byte buffer, as [`read_graph`]
+    /// reads a file: reads end at every multiple of `READ_BUFFER`.
+    fn buffered(text: &str) -> BufReader<&[u8]> {
+        BufReader::with_capacity(READ_BUFFER, text.as_bytes())
+    }
+
+    /// Appends a comment line (`mark` and filler) that ends `text` at byte
+    /// `at`, so the next line starts there.
+    fn pad_to(text: &mut String, mark: char, at: usize) {
+        let fill = at.checked_sub(text.len() + 2).expect("room for a comment");
+        text.push(mark);
+        text.extend(std::iter::repeat_n('x', fill));
+        text.push('\n');
+        assert_eq!(text.len(), at);
+    }
+
+    #[test]
+    fn metis_row_longer_than_the_read_buffer() {
+        // A star: vertex 1's row lists every other vertex, about 120 KB.
+        let n = 20_001u32;
+        let mut text = format!("{n} {}\n", n - 1);
+        let row: Vec<String> = (2..=n).map(|v| v.to_string()).collect();
+        text.push_str(&row.join(" "));
+        text.push('\n');
+        text.push_str(&"1\n".repeat(n as usize - 1));
+        assert!(row.join(" ").len() > READ_BUFFER);
+        let star: Vec<(VertexId, VertexId)> = (1..n).map(|v| (0, v)).collect();
+        let g = parse_metis(buffered(&text)).unwrap();
+        assert_eq!(g, Graph::from_edges(n as usize, &star));
+        assert_eq!(g, oracle::parse_metis(&text).unwrap());
+    }
+
+    #[test]
+    fn long_comments_and_ignored_columns_are_not_carried() {
+        // Some comments are indented: what to keep is judged from the
+        // first non-blank byte.
+        let comment = "x".repeat(4 * READ_BUFFER);
+        let columns = " 7".repeat(2 * READ_BUFFER);
+        let edge_list = EdgeList {
+            one_based: false,
+            n: 0,
+            edges: Vec::new(),
+        };
+        let path = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        for (name, (g, carried)) in [
+            (
+                "edge list",
+                carry_peak(
+                    &format!("0 1\n\t# {comment}\n1 2{columns}\nc {comment}\n2 3\n"),
+                    edge_list,
+                ),
+            ),
+            (
+                "DIMACS",
+                carry_peak(
+                    &format!("p edge 4 3\n  c {comment}\ne 1 2\ne 2 3{columns}\ne 3 4\n"),
+                    Dimacs::default(),
+                ),
+            ),
+            (
+                "METIS",
+                carry_peak(
+                    &format!("% {comment}\n4 3 0{columns}\n2\n1 3\n %{comment}\n2 4\n3\n"),
+                    Metis::default(),
+                ),
+            ),
+        ] {
+            assert_eq!(g, path, "{name}");
+            assert!(
+                carried < READ_BUFFER,
+                "{name}: the carry grew to {carried} bytes"
+            );
+        }
+    }
+
+    /// Reads `text` with `reader` through a production-size buffer; returns
+    /// the graph and the capacity its carry reached.
+    fn carry_peak(text: &str, mut reader: impl Records) -> (Graph, usize) {
+        let mut carry = Carry::default();
+        scan(buffered(text), &mut reader, &mut carry).unwrap();
+        (reader.finish().unwrap(), carry.bytes.capacity())
+    }
+
+    #[test]
+    fn last_line_without_a_line_feed_straddles_a_read() {
+        for back in 1..=6 {
+            let at = READ_BUFFER - back;
+            let mut text = "0 1\n".to_string();
+            pad_to(&mut text, '#', at);
+            text.push_str("123 456");
+            let g = parse_edge_list(buffered(&text), false).unwrap();
+            assert!(g.has_edge(123, 456) && g.has_edge(0, 1), "split {back}");
+            assert_eq!(g, oracle::parse_edge_list(&text, false).unwrap());
+
+            let mut text = "p edge 500 2\ne 1 2\n".to_string();
+            pad_to(&mut text, 'c', at);
+            text.push_str("e 123 456");
+            let g = parse_dimacs(buffered(&text)).unwrap();
+            assert!(g.has_edge(122, 455) && g.has_edge(0, 1), "split {back}");
+            assert_eq!(g, oracle::parse_dimacs(&text).unwrap());
+
+            let mut text = "3 2\n3\n3\n".to_string();
+            pad_to(&mut text, '%', at);
+            text.push_str("1 2 1 2 1 2");
+            let g = parse_metis(buffered(&text)).unwrap();
+            assert_eq!(g, Graph::from_edges(3, &[(0, 2), (1, 2)]), "split {back}");
+            assert_eq!(g, oracle::parse_metis(&text).unwrap());
+        }
+    }
+
+    #[test]
+    fn crlf_lines_read_like_lf_lines_across_reads() {
+        // About 20,000 lines of 4 to 12 bytes, and METIS rows of about 500:
+        // reads split lines at many offsets.
+        let mut rng = seeded_rng(11);
+        let edges: Vec<(u32, u32)> = (0..20_000)
+            .map(|_| (rng.random_range(0..1000u32), rng.random_range(0..1000u32)))
+            .collect();
+        let mut lf = [String::new(), "p edge 1000 0\n".into()];
+        for (u, v) in &edges {
+            lf[0].push_str(&format!("{u} {v}\n"));
+            lf[1].push_str(&format!("e {} {}\n", u + 1, v + 1));
+        }
+        let dir = std::env::temp_dir().join("kdc_io_tests");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("crlf.graph");
+        write_metis(&crate::gen::gnp(600, 0.2, &mut rng), &path).unwrap();
+        let metis = fs::read_to_string(&path).unwrap();
+        for (i, text) in lf.iter().chain([&metis]).enumerate() {
+            // A leading comment moves one `\r` to the last byte of the
+            // first read, its `\n` to the first byte of the second.
+            let crlf = text.replace('\n', "\r\n");
+            let r = crlf[..READ_BUFFER - 3].rfind('\r').unwrap();
+            let mark = ['#', 'c', '%'][i];
+            let crlf = format!("{mark}{}\r\n{crlf}", "x".repeat(READ_BUFFER - 4 - r));
+            assert_eq!(crlf.as_bytes()[READ_BUFFER - 1..][..2], *b"\r\n");
+            let (want, got) = match i {
+                0 => (
+                    parse_edge_list(text.as_bytes(), false),
+                    parse_edge_list(buffered(&crlf), false),
+                ),
+                1 => (parse_dimacs(text.as_bytes()), parse_dimacs(buffered(&crlf))),
+                _ => (parse_metis(text.as_bytes()), parse_metis(buffered(&crlf))),
+            };
+            assert_eq!(got.unwrap(), want.unwrap(), "format {i}");
+        }
+    }
+
+    #[test]
+    fn malformed_number_straddling_a_read_reports_its_line() {
+        for back in 1..=7 {
+            let at = READ_BUFFER - back;
+            let mut text = "0 1\n".to_string();
+            pad_to(&mut text, '#', at);
+            text.push_str("0 1234x678\n1 2\n");
+            let want = parse_line(oracle::parse_edge_list(&text, false));
+            assert_eq!(want, 3);
+            assert_eq!(parse_line(parse_edge_list(buffered(&text), false)), want);
+
+            let mut text = "p edge 9 1\n".to_string();
+            pad_to(&mut text, 'c', at);
+            text.push_str("e 1 12345678+\ne 1 2\n");
+            let want = parse_line(oracle::parse_dimacs(&text));
+            assert_eq!(want, 3);
+            assert_eq!(parse_line(parse_dimacs(buffered(&text))), want);
         }
     }
 }
