@@ -1458,7 +1458,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("kdc_core_bound_invocations_total{bound=\"ub2\"}"),
+            text.contains("kdc_core_bound_invocations_total{bound=\"ub3\"}"),
             "{text}"
         );
         assert!(

@@ -7,7 +7,8 @@
 //!
 //! * preprocessing: an initial heuristic solution, the (lb−k)-core rule RR5
 //!   and the (lb−k+1)-truss rule RR6;
-//! * bounding: the UB3 prefix bound (proposed in \[16\]) and the classic UB2;
+//! * bounding: the UB3 prefix bound (proposed in \[16\]) and the classic UB2,
+//!   which RR5 applies to the vertices of S;
 //! * no RR2/RR3/RR4, no UB1, plain degree-based branching —
 //!
 //! on top of the same engine and data structures as kDC, so measured gaps

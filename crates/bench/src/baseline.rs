@@ -50,8 +50,18 @@ impl Case {
     }
 
     /// Appends an integer metric.
+    ///
+    /// # Panics
+    /// If the case already records `key`: the checker reads only the
+    /// first copy, so a second one would be written but never checked.
     pub fn with(mut self, key: impl Into<String>, value: u64) -> Case {
-        self.metrics.push((key.into(), value));
+        let key = key.into();
+        assert!(
+            self.metric(&key).is_none(),
+            "case {}: metric {key} recorded twice",
+            self.name
+        );
+        self.metrics.push((key, value));
         self
     }
 
@@ -385,6 +395,14 @@ mod tests {
         missing.den = "ctcp/x/schedule".to_string();
         let v = check(None, &[missing], &cases);
         assert!(v.failures[0].contains("has no nodes"), "{:?}", v.failures);
+    }
+
+    #[test]
+    #[should_panic(expected = "metric nodes recorded twice")]
+    fn a_repeated_metric_key_panics() {
+        let _ = Case::new("solve/x/kdc", 1, 1)
+            .with("nodes", 1)
+            .with("nodes", 1);
     }
 
     #[test]

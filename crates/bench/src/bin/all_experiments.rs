@@ -18,7 +18,6 @@ const BINARIES: &[&str] = &[
     "fig7",
     "fig8",
     "rule_stats",
-    "ub4_ablation",
 ];
 
 fn main() {

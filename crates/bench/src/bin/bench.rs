@@ -8,7 +8,7 @@
 //!   kernel (`kdc-scalar`, the speedup baseline) and `kdclub` (the
 //!   re-colouring bound, the node-reduction headline). Each case records
 //!   nodes, solution size, per-bound cost attribution (invocations /
-//!   prunes / ns / prune rate for UB2, UB3, UB1, KD-Club, UB4) and the
+//!   prunes / ns / prune rate for UB3, UB1 and KD-Club) and the
 //!   per-phase nanoseconds of the tracer spans `kdc solve --profile`
 //!   prints. Plus the incremental CTCP reducer across a rising lower-bound
 //!   schedule, the tie-ordered degeneracy peel against the O(n + m)
@@ -133,8 +133,6 @@ fn solve_case(name: String, g: &Graph, k: usize, cfg: &SolverConfig, reps: usize
     let mut case = Case::new(name, median, reps)
         .with("nodes", s.nodes)
         .with("bound_prunes", s.bound_prunes)
-        .with("ub1_prunes", s.ub1_prunes)
-        .with("kdclub_prunes", s.kdclub_prunes)
         .with("size", reference.size() as u64);
     // Per-bound cost attribution, in the engine's evaluation order. The
     // prune rate is what tells whether a bound earns its nanoseconds.

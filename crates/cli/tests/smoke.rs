@@ -87,7 +87,7 @@ fn solve_stats_prints_reduction_counters() {
     assert!(text.contains("bounds: prunes"), "output: {text}");
     // The solve's own per-bound costs feed a time section onto the
     // bounds line.
-    assert!(text.contains("time-ms ub2="), "output: {text}");
+    assert!(text.contains("time-ms ub3="), "output: {text}");
     assert!(text.contains("kdclub"), "output: {text}");
     assert!(text.contains("arena: reuses"), "output: {text}");
     assert!(text.contains("universe-rebuilds"), "output: {text}");

@@ -2,11 +2,11 @@
 //!
 //! The paper deliberately separates the techniques needed for the
 //! `O*(γ_k^n)` time complexity (branching rule BR, reduction rules RR1/RR2)
-//! from the techniques that only improve practical performance (UB1–UB3,
-//! RR3–RR6, initial-solution heuristics). [`SolverConfig`] mirrors that
-//! separation: every practical technique can be toggled independently, and
-//! the named presets correspond exactly to the algorithm variants evaluated
-//! in §4 of the paper.
+//! from the techniques that only improve practical performance (UB1, UB3,
+//! RR3–RR6, initial-solution heuristics; UB2 is RR5 applied to S).
+//! [`SolverConfig`] mirrors that separation: every practical technique can
+//! be toggled independently, and the named presets correspond exactly to
+//! the algorithm variants evaluated in §4 of the paper.
 
 use kdc_graph::ctcp::Ctcp;
 use kdc_graph::degeneracy::Peeling;
@@ -201,19 +201,13 @@ pub struct SolverConfig {
     pub enable_rr6: bool,
     /// UB1 — improved colouring upper bound (§3.2.1).
     pub enable_ub1: bool,
-    /// UB2 — minimum-S-degree upper bound \[11\].
-    pub enable_ub2: bool,
     /// UB3 — non-neighbour-prefix upper bound \[16\].
     pub enable_ub3: bool,
-    /// UB4 — the RR4-derived second-order bound that §3.2.2 sketches but
-    /// leaves unused for cost reasons; off in every preset, available for
-    /// experimentation via [`SolverConfig::with_ub4`].
-    pub enable_ub4: bool,
     /// KD-Club-style colouring bound \[Jin et al., AAAI 2024\]: re-colour the
     /// *current* candidate subgraph at every node, packing the non-neighbours
     /// of `S` first, and distribute the remaining missing-edge budget
     /// `k − |Ē(S)|` greedily across the colour classes. Evaluated after
-    /// UB1–UB3 (only when they fail to prune), so enabling it can only
+    /// UB3 and UB1 (only when they fail to prune), so enabling it can only
     /// shrink the search tree; see [`SearchStats::kdclub_prunes`] for how
     /// often it was the deciding bound.
     ///
@@ -294,8 +288,8 @@ pub struct SolverConfig {
 }
 
 impl SolverConfig {
-    /// The full kDC algorithm (Algorithm 2): BR + RR1–RR6 + UB1–UB3 +
-    /// Degen-opt.
+    /// The full kDC algorithm (Algorithm 2): BR + RR1–RR6 + UB1 and UB3
+    /// (UB2 through RR5 on S) + Degen-opt.
     pub fn kdc() -> Self {
         SolverConfig {
             branch_policy: BranchPolicy::MaxNonNeighbors,
@@ -305,9 +299,7 @@ impl SolverConfig {
             enable_rr5: true,
             enable_rr6: true,
             enable_ub1: true,
-            enable_ub2: true,
             enable_ub3: true,
-            enable_ub4: false,
             enable_kdclub: false,
             use_eq2_bound: false,
             word_kernel: true,
@@ -336,9 +328,7 @@ impl SolverConfig {
             enable_rr5: false,
             enable_rr6: false,
             enable_ub1: false,
-            enable_ub2: false,
             enable_ub3: false,
-            enable_ub4: false,
             enable_kdclub: false,
             use_eq2_bound: false,
             word_kernel: true,
@@ -357,7 +347,7 @@ impl SolverConfig {
 
     /// kDC augmented with the KD-Club-style colouring bound: everything in
     /// [`SolverConfig::kdc`] plus a per-node re-colouring bound evaluated
-    /// when UB1–UB3 fail to prune. Typically explores fewer branch-and-bound
+    /// when UB3 and UB1 fail to prune. Typically explores fewer branch-and-bound
     /// nodes than `kdc` at a higher per-node cost; preferable on instances
     /// where the search tree, not the bound evaluation, dominates.
     pub fn kdclub() -> Self {
@@ -416,9 +406,7 @@ impl SolverConfig {
             enable_rr5: true,
             enable_rr6: true,
             enable_ub1: false,
-            enable_ub2: true,
             enable_ub3: true,
-            enable_ub4: false,
             enable_kdclub: false,
             use_eq2_bound: false,
             word_kernel: true,
@@ -446,9 +434,7 @@ impl SolverConfig {
             enable_rr5: true,
             enable_rr6: false,
             enable_ub1: false,
-            enable_ub2: true,
             enable_ub3: false,
-            enable_ub4: false,
             enable_kdclub: false,
             use_eq2_bound: true,
             word_kernel: true,
@@ -478,12 +464,6 @@ impl SolverConfig {
             "madec" => Self::madec_like(),
             other => return Err(format!("unknown preset {other:?}")),
         })
-    }
-
-    /// Enables the experimental RR4-derived bound UB4 (see §3.2.2).
-    pub fn with_ub4(mut self) -> Self {
-        self.enable_ub4 = true;
-        self
     }
 
     /// Disables the word-parallel engine kernel: every universe runs on the
@@ -564,7 +544,7 @@ mod tests {
         let c = SolverConfig::kdc_t();
         assert!(c.enable_rr2, "RR2 is part of the complexity argument");
         assert!(!c.enable_rr3 && !c.enable_rr4 && !c.enable_rr5 && !c.enable_rr6);
-        assert!(!c.enable_ub1 && !c.enable_ub2 && !c.enable_ub3);
+        assert!(!c.enable_ub1 && !c.enable_ub3);
         assert_eq!(c.heuristic, InitialHeuristic::None);
     }
 

@@ -5,7 +5,8 @@
 //!   `|N̄_S(·)|` ascending and give the j-th vertex weight
 //!   `w = |N̄_S(v)| + (j − 1)`; the instance bound is `|S|` plus the longest
 //!   prefix of all weights (ascending) whose sum fits in `k − |Ē(S)|`.
-//! * **UB2** — `min_{u ∈ S} d_g(u) + 1 + k` \[11\].
+//! * **UB2** — `min_{u ∈ S} d_g(u) + 1 + k` \[11\]. Reported by
+//!   [`crate::probe`] only: RR5 on S enforces it before any bound runs.
 //! * **UB3** — `|S|` plus the longest ascending prefix of `|N̄_S(·)|` values
 //!   fitting in `k − |Ē(S)|` \[16\].
 //! * **Eq. (2)** — the original MADEC colouring bound
@@ -20,7 +21,7 @@
 //!   track the reduced subgraph, so the costly vertices concentrate in few
 //!   classes and pick up larger within-class penalties — usually a tighter
 //!   bound, always a sound one (any proper colouring yields valid classes).
-//!   Evaluated only when UB1–UB3 fail to prune, so it can shrink the tree
+//!   Evaluated only when UB3 and UB1 fail to prune, so it can shrink the tree
 //!   but never loosen it.
 
 use super::Engine;
@@ -45,15 +46,15 @@ fn lap_ns(t: &mut Option<std::time::Instant>) -> u64 {
 
 impl Engine {
     /// Computes an upper bound for the current instance, evaluating the
-    /// cheap bounds (UB2, UB3) first, the colouring bounds (UB1/Eq. (2))
-    /// when the cheap ones fail to prune against `lb`, and the KD-Club
-    /// re-colouring bound last of the standard set. Returns
+    /// cheap UB3 first, the colouring bounds (UB1/Eq. (2)) when it fails to
+    /// prune against `lb`, and the KD-Club re-colouring bound last. UB2 has
+    /// no stage: RR5 on S already enforces it (see the `reductions` module
+    /// docs). Returns
     /// `(bound, ub1_was_strictly_needed, kdclub_was_strictly_needed)`; each
     /// flag records that the bound was strictly smaller than every other
     /// enabled bound (used by the ablation statistics and the `--stats`
     /// prune counters).
     pub(crate) fn upper_bound(&mut self, lb: usize) -> (usize, bool, bool) {
-        let s = self.s_end;
         debug_assert!(self.missing_in_s <= self.k);
         let budget = self.k - self.missing_in_s;
 
@@ -64,35 +65,8 @@ impl Engine {
             None
         };
 
-        if self.config.enable_ub2 && s > 0 {
-            let min_deg = self.vs[..s]
-                .iter()
-                .map(|&u| self.deg[u as usize] as usize)
-                .min()
-                .expect("S nonempty");
-            best = best.min(min_deg + 1 + self.k);
-            let bc = &mut self.stats.bound_costs[bound::UB2];
-            bc.invocations += 1;
-            bc.ns += lap_ns(&mut t);
-            if best <= lb {
-                bc.prunes += 1;
-                return (best, false, false);
-            }
-        }
-
         if self.config.enable_ub3 {
-            self.sort_cands_by_non_nbr();
-            let mut left = budget;
-            let mut cnt = 0usize;
-            for &v in &self.scratch_cands {
-                let nn = self.non_nbr_s[v as usize] as usize;
-                if nn > left {
-                    break;
-                }
-                left -= nn;
-                cnt += 1;
-            }
-            best = best.min(s + cnt);
+            best = self.ub3(budget);
             let bc = &mut self.stats.bound_costs[bound::UB3];
             bc.invocations += 1;
             bc.ns += lap_ns(&mut t);
@@ -140,49 +114,10 @@ impl Engine {
             bc.ns += lap_ns(&mut t);
             if best <= lb {
                 bc.prunes += 1;
-                return (best, ub1_flag, kdclub_flag);
-            }
-        }
-
-        // UB4 — the RR4-derived second-order bound the paper sketches but
-        // does not deploy (§3.2.2: "an upper bound could be designed based
-        // on RR4 … time-consuming"). Optional; evaluated last because it is
-        // the most expensive. When it is the strict minimum, the earlier
-        // flags no longer name the deciding bound and are cleared.
-        if self.config.enable_ub4 && s > 0 {
-            let ub4 = self.ub4_second_order();
-            if ub4 < best {
-                ub1_flag = false;
-                kdclub_flag = false;
-                best = ub4;
-            }
-            let bc = &mut self.stats.bound_costs[bound::UB4];
-            bc.invocations += 1;
-            bc.ns += lap_ns(&mut t);
-            // Every earlier stage returns on a prune, so reaching this
-            // point with `best <= lb` means UB4 closed the instance.
-            if best <= lb {
-                bc.prunes += 1;
             }
         }
 
         (best, ub1_flag, kdclub_flag)
-    }
-
-    /// UB4: every solution strictly containing S includes some candidate
-    /// `v`, and any solution containing `S ∪ v` is bounded by the RR4 pair
-    /// bound against the most recently added S-vertex; hence the instance
-    /// bound is the maximum of `|S|` and the per-candidate bounds. O(m).
-    fn ub4_second_order(&mut self) -> usize {
-        debug_assert!(self.s_end > 0);
-        let u = self.vs[self.s_end - 1];
-        self.prepare_rr4_marks(u);
-        let mut best = self.s_end; // the solution S itself
-        for i in self.s_end..self.cand_end {
-            let v = self.vs[i];
-            best = best.max(self.rr4_pair_bound(u, v));
-        }
-        best
     }
 
     /// Test hook for the colouring bounds: `(UB1, Eq. (2), num_colors)`.
@@ -193,34 +128,35 @@ impl Engine {
     }
 
     /// Computes all four bounds regardless of configuration:
-    /// `(UB1, Eq. (2), UB2-or-MAX, UB3)`. Used by [`crate::probe`].
+    /// `(UB1, Eq. (2), UB2-or-MAX, UB3)`. Used by [`crate::probe`]. UB2 is
+    /// evaluated only here; the search never needs it (RR5 on S).
     pub(crate) fn all_bounds(&mut self) -> (usize, usize, usize, usize) {
         let budget = self.k - self.missing_in_s;
-        let s = self.s_end;
-        let ub2 = if s > 0 {
-            let min_deg = self.vs[..s]
-                .iter()
-                .map(|&u| self.deg[u as usize] as usize)
-                .min()
-                .expect("S nonempty");
-            min_deg + 1 + self.k
-        } else {
-            usize::MAX
-        };
+        let ub2 = self.vs[..self.s_end]
+            .iter()
+            .map(|&u| self.deg[u as usize] as usize + 1 + self.k)
+            .min()
+            .unwrap_or(usize::MAX);
+        let ub3 = self.ub3(budget);
+        let (ub1, eq2, _) = self.coloring_bounds(budget);
+        (ub1, eq2, ub2, ub3)
+    }
+
+    /// UB3: `|S|` plus the longest prefix of candidates, by ascending
+    /// `|N̄_S(·)|`, whose non-neighbour counts fit in `budget`.
+    fn ub3(&mut self, budget: usize) -> usize {
         self.sort_cands_by_non_nbr();
         let mut left = budget;
         let mut cnt = 0usize;
-        for i in 0..self.scratch_cands.len() {
-            let nn = self.non_nbr_s[self.scratch_cands[i] as usize] as usize;
+        for &v in &self.scratch_cands {
+            let nn = self.non_nbr_s[v as usize] as usize;
             if nn > left {
                 break;
             }
             left -= nn;
             cnt += 1;
         }
-        let ub3 = s + cnt;
-        let (ub1, eq2, _) = self.coloring_bounds(budget);
-        (ub1, eq2, ub2, ub3)
+        self.s_end + cnt
     }
 
     /// Greedy colouring of the candidate set in reverse degeneracy order of
@@ -490,7 +426,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use crate::config::SolverConfig;
-    use crate::engine::Engine;
+    use crate::engine::{Engine, Reduced};
     use crate::solver::SolveBudget;
 
     fn engine(g: &kdc_graph::Graph, k: usize, cfg: SolverConfig) -> Engine {
@@ -555,16 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn ub2_on_figure5() {
-        // Isolated S vertices have alive degree 0 → UB2 = 0 + 1 + k = 4.
-        let mut cfg = SolverConfig::kdc_t();
-        cfg.enable_ub2 = true;
-        let mut e = figure5_engine(cfg);
-        let (ub, _, _) = e.upper_bound(0);
-        assert_eq!(ub, 4);
-    }
-
-    #[test]
     fn ub3_on_figure5() {
         // Every candidate has 2 non-neighbours in S; budget = k − |Ē(S)| = 2
         // → exactly one candidate fits → UB3 = 3.
@@ -607,39 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn ub4_is_sound_and_exactness_is_preserved() {
-        // UB4 must dominate the true instance optimum at every probed state,
-        // and enabling it must not change solver answers.
-        let mut rng = kdc_graph::gen::seeded_rng(316);
-        for _ in 0..10 {
-            let g = kdc_graph::gen::gnp(16, 0.5, &mut rng);
-            for k in [1usize, 3] {
-                let reference = crate::Solver::new(&g, k, SolverConfig::kdc()).solve();
-                let with_ub4 = crate::Solver::new(&g, k, SolverConfig::kdc().with_ub4()).solve();
-                assert_eq!(reference.size(), with_ub4.size());
-
-                // Root-with-one-vertex probe: UB4 ≥ optimum of (g, {v}).
-                let mut e = engine(&g, k, SolverConfig::kdc_t().with_ub4());
-                e.add_to_s_for_test(0);
-                let ub4 = e.ub4_second_order();
-                // Brute-force the instance optimum containing vertex 0.
-                let n = g.n();
-                let mut opt = 0usize;
-                for mask in 0u32..(1 << n) {
-                    if mask & 1 == 0 {
-                        continue;
-                    }
-                    let set: Vec<u32> = (0..n as u32).filter(|&v| mask >> v & 1 == 1).collect();
-                    if g.is_k_defective_clique(&set, k) {
-                        opt = opt.max(set.len());
-                    }
-                }
-                assert!(ub4 >= opt, "UB4 {ub4} below instance optimum {opt} (k={k})");
-            }
-        }
-    }
-
-    #[test]
     fn all_branch_policies_stay_exact() {
         use crate::config::BranchPolicy;
         let mut rng = kdc_graph::gen::seeded_rng(315);
@@ -665,28 +558,67 @@ mod tests {
 
     #[test]
     fn bounds_are_sound_on_random_instances() {
-        // Root bound must dominate the true optimum (computed by the same
-        // engine run to completion).
+        // Each of the four bounds must dominate, on its own, the optimum of
+        // its instance (computed by the bare engine run to completion): at
+        // the root and with one vertex forced into S, where UB2 is finite.
         let mut rng = kdc_graph::gen::seeded_rng(7);
         for trial in 0..15 {
             let g = kdc_graph::gen::gnp(18, 0.5, &mut rng);
             for k in [0usize, 2, 4] {
-                let mut exact = engine(&g, k, SolverConfig::kdc_t());
-                assert!(exact.run(&SolveBudget::default()));
-                let opt = exact.best().len();
-
-                let mut cfg = SolverConfig::kdc_t();
-                cfg.enable_ub1 = true;
-                cfg.enable_ub2 = true;
-                cfg.enable_ub3 = true;
-                cfg.use_eq2_bound = true;
-                let mut e = engine(&g, k, cfg);
-                let (ub, _, _) = e.upper_bound(0);
-                assert!(
-                    ub >= opt,
-                    "trial {trial} k {k}: root bound {ub} below optimum {opt}"
-                );
+                for forced in [None, Some(trial as u32 % 18)] {
+                    let prime = || {
+                        let mut e = engine(&g, k, SolverConfig::kdc_t());
+                        if let Some(v) = forced {
+                            e.add_to_s_for_test(v);
+                        }
+                        e
+                    };
+                    let mut exact = prime();
+                    assert!(exact.run(&SolveBudget::default()));
+                    let opt = exact.best().len();
+                    let (ub1, eq2, ub2, ub3) = prime().all_bounds();
+                    let named = [("UB1", ub1), ("Eq. (2)", eq2), ("UB2", ub2), ("UB3", ub3)];
+                    for (name, ub) in named {
+                        assert!(
+                            ub >= opt,
+                            "trial {trial} k {k} S {forced:?}: {name} {ub} < {opt}"
+                        );
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn rr5_on_s_keeps_ub2_above_lb_at_every_open_node() {
+        // Why the search has no UB2 stage: whenever `reduce` leaves a node
+        // open under a preset with RR5, UB2 = min_{u∈S} d(u) + 1 + k > lb.
+        let mut rng = kdc_graph::gen::seeded_rng(318);
+        let mut open_with_s = 0usize;
+        for _ in 0..10 {
+            let g = kdc_graph::gen::gnp(30, 0.5, &mut rng);
+            for k in [0usize, 1, 3] {
+                for cfg in [
+                    SolverConfig::kdc(),
+                    SolverConfig::kdbb_like(),
+                    SolverConfig::madec_like(),
+                ] {
+                    for lb in [k + 1, k + 4, k + 7] {
+                        let mut e = crate::engine::primed(&g, k, cfg.clone(), lb);
+                        while e.reduce() == Reduced::Open {
+                            let (_, _, ub2, _) = e.all_bounds();
+                            assert!(ub2 > e.lb(), "UB2 {ub2} <= lb {} (k {k})", e.lb());
+                            open_with_s += usize::from(e.s_end > 0);
+                            let b = e.pick_branch_vertex();
+                            e.add_to_s(b);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            open_with_s > 100,
+            "only {open_with_s} open nodes with S nonempty"
+        );
     }
 }

@@ -718,7 +718,7 @@ impl Engine {
     /// Whether any upper bound is configured.
     fn any_bound_enabled(&self) -> bool {
         let c = &self.config;
-        c.enable_ub1 || c.enable_ub2 || c.enable_ub3 || c.use_eq2_bound || c.enable_kdclub
+        c.enable_ub1 || c.enable_ub3 || c.use_eq2_bound || c.enable_kdclub
     }
 
     /// Branching rule BR (§3.1.1): prefer a candidate with at least one

@@ -15,6 +15,17 @@
 //! (§3.2.3) and RR3 afterwards, each followed by another fixpoint pass if
 //! they removed anything. After the pipeline, Lemma 3.3 holds: every
 //! candidate has `|Ē(S ∪ u)| ≤ k` and at least two non-neighbours in `g`.
+//!
+//! RR5 on S *is* UB2 (`min_{u∈S} d_g(u) + 1 + k`), which is why the bound
+//! cascade has no UB2 stage. UB2 ≤ lb means some `u ∈ S` has
+//! `d_g(u) ≤ lb − k − 1 < lb − k`, exactly the S vertex RR5 prunes on
+//! when `lb > k`; when `lb ≤ k`, UB2 ≥ k + 1 > lb. Every fixpoint pass
+//! ends with that check, so whenever [`Engine::reduce`] returns
+//! [`Reduced::Open`] with RR5 enabled, UB2 > lb. The incumbent may then
+//! rise to `|S|`, but UB2 ≤ |S| would need some `u ∈ S` that misses all
+//! `k` edges of the budget and has no candidate neighbour. With the budget
+//! spent, RR1 leaves only candidates adjacent to all of S, so no candidate
+//! is left, the alive set is S, and the leaf rule has already returned.
 
 use super::{Engine, Reduced};
 
@@ -173,7 +184,7 @@ impl Engine {
     /// the list representation: marks `u`'s candidate neighbours. On the
     /// dense one the pair bound intersects matrix rows instead, so there is
     /// nothing to prepare.
-    pub(crate) fn prepare_rr4_marks(&mut self, u: u32) {
+    fn prepare_rr4_marks(&mut self, u: u32) {
         if self.matrix.is_some() {
             return;
         }
@@ -196,7 +207,7 @@ impl Engine {
     /// representation; membership is re-checked live (via `is_cand` there,
     /// via `cand_mask` on the dense one), so interleaved candidate removals
     /// stay consistent.
-    pub(crate) fn rr4_pair_bound(&self, u: u32, v: u32) -> usize {
+    fn rr4_pair_bound(&self, u: u32, v: u32) -> usize {
         let s = self.s_end;
         let nbrs_in_s_u = (s - 1) - self.non_nbr_s[u as usize] as usize;
         let missing_sp = self.missing_in_s + self.non_nbr_s[v as usize] as usize;

@@ -39,8 +39,9 @@
 //! * [`probe`] — UB1/UB2/UB3/Eq. (2) evaluation on arbitrary instances;
 //! * [`verify`] — independent solution checking and portable certificates;
 //! * the engine (branching rule BR, reduction rules RR1–RR5, upper bounds
-//!   UB1–UB4 and the Eq. (2) baseline bound) is internal; configure it
-//!   through [`config::SolverConfig`].
+//!   UB1 and UB3, the KD-Club bound and the Eq. (2) baseline bound; UB2 is
+//!   RR5 applied to S) is internal; configure it through
+//!   [`config::SolverConfig`].
 
 pub mod config;
 pub mod counting;

@@ -76,22 +76,18 @@ impl Solution {
 /// Indices into [`SearchStats::bound_costs`], in evaluation order of
 /// the engine's candidate-set upper bounds.
 pub mod bound {
-    /// UB2 — minimum-S-degree bound (evaluated first, early exit).
-    pub const UB2: usize = 0;
-    /// UB3 — non-neighbour-prefix bound (second, early exit).
-    pub const UB3: usize = 1;
+    /// UB3 — non-neighbour-prefix bound (evaluated first, early exit).
+    pub const UB3: usize = 0;
     /// UB1 / Eq. (2) — colouring bound.
-    pub const UB1: usize = 2;
+    pub const UB1: usize = 1;
     /// KD-Club-style per-node re-colouring bound.
-    pub const KDCLUB: usize = 3;
-    /// UB4 — second-order bound (experimental, off in every preset).
-    pub const UB4: usize = 4;
+    pub const KDCLUB: usize = 2;
     /// Number of tracked bounds.
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 3;
     /// Metric-label names, indexed like [`SearchStats::bound_costs`].
     ///
     /// [`SearchStats::bound_costs`]: crate::SearchStats
-    pub const NAMES: [&str; COUNT] = ["ub2", "ub3", "ub1", "kdclub", "ub4"];
+    pub const NAMES: [&str; COUNT] = ["ub3", "ub1", "kdclub"];
 }
 
 /// Per-bound telemetry: how often a bound ran, how often it was the bound
@@ -134,7 +130,7 @@ pub struct SearchStats {
     /// Instances pruned by UB1 specifically (UB1 was the smallest bound).
     pub ub1_prunes: u64,
     /// Instances pruned by the KD-Club-style colouring bound specifically:
-    /// UB1–UB3 failed to prune and the per-node re-colouring bound was the
+    /// UB3 and UB1 failed to prune and the per-node re-colouring bound was the
     /// one that closed the instance.
     pub kdclub_prunes: u64,
     /// Instances pruned while applying RR5 to a vertex of S.
@@ -204,8 +200,10 @@ impl SearchStats {
     }
 
     /// Serializes the counters as one compact `key=value` line (durations
-    /// as nanoseconds, per-bound telemetry as `bc<i>=inv:prunes:ns`) — the
-    /// opaque stats string the durable store journals alongside a memo.
+    /// as nanoseconds, per-bound telemetry as `bc_<name>=inv:prunes:ns`
+    /// with the names of [`bound::NAMES`]) — the opaque stats string the
+    /// durable store journals alongside a memo. Keying by name keeps a
+    /// record attributed correctly when the bound list changes.
     pub fn encode_compact(&self) -> String {
         let mut s = format!(
             "nodes={} leaves={} max_depth={} rr1={} rr2={} rr3={} rr4={} rr5={} \
@@ -235,9 +233,9 @@ impl SearchStats {
             self.preprocess_time.as_nanos(),
             self.search_time.as_nanos(),
         );
-        for (i, bc) in self.bound_costs.iter().enumerate() {
+        for (name, bc) in bound::NAMES.iter().zip(&self.bound_costs) {
             s.push_str(&format!(
-                " bc{i}={}:{}:{}",
+                " bc_{name}={}:{}:{}",
                 bc.invocations, bc.prunes, bc.ns
             ));
         }
@@ -246,7 +244,10 @@ impl SearchStats {
 
     /// Parses a line produced by [`SearchStats::encode_compact`]. Tolerant
     /// by design: unknown keys are ignored and missing keys default to
-    /// zero, so records written by one version replay under another.
+    /// zero, so records written by one version replay under another. That
+    /// includes the positional `bc<i>=` keys of records written before the
+    /// bound telemetry was keyed by name: their indices named a different
+    /// bound list, so their counts are dropped rather than misattributed.
     ///
     /// # Errors
     /// Only a syntactically broken field (`key=value` with a non-numeric
@@ -284,13 +285,10 @@ impl SearchStats {
                 "ego" => out.ego_subproblems = num(value)?,
                 "pre_ns" => out.preprocess_time = Duration::from_nanos(num(value)?),
                 "search_ns" => out.search_time = Duration::from_nanos(num(value)?),
-                _ if key.starts_with("bc") => {
-                    let Ok(i) = key[2..].parse::<usize>() else {
+                _ if key.starts_with("bc_") => {
+                    let Some(i) = bound::NAMES.iter().position(|&b| b == &key[3..]) else {
                         continue;
                     };
-                    if i >= bound::COUNT {
-                        continue;
-                    }
                     let mut parts = value.splitn(3, ':');
                     let mut next = || num(parts.next().unwrap_or("0"));
                     out.bound_costs[i].invocations = next()?;
@@ -348,9 +346,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_encode_decode_roundtrips() {
-        let mut stats = SearchStats {
+    /// Every scalar field set to a distinct value, no bound telemetry.
+    fn sample() -> SearchStats {
+        SearchStats {
             nodes: 42,
             leaves: 7,
             max_depth: 9,
@@ -374,7 +372,12 @@ mod tests {
             preprocess_time: Duration::from_nanos(123_456),
             search_time: Duration::from_nanos(789_012),
             ..Default::default()
-        };
+        }
+    }
+
+    #[test]
+    fn stats_encode_decode_roundtrips() {
+        let mut stats = sample();
         stats.bound_costs[bound::UB1] = BoundCost {
             invocations: 100,
             prunes: 40,
@@ -386,6 +389,21 @@ mod tests {
         assert_eq!(back.nodes, 42);
         assert_eq!(back.bound_costs[bound::UB1].prunes, 40);
         assert_eq!(back.search_time, Duration::from_nanos(789_012));
+        assert!(line.contains(" bc_ub1=100:40:5000"), "{line}");
+    }
+
+    #[test]
+    fn positional_bound_keys_of_older_records_are_ignored() {
+        // A line as written when `bc<i>` indexed the five-bound list
+        // [ub2, ub3, ub1, kdclub, ub4]: its counts name other bounds now.
+        let legacy = "nodes=42 leaves=7 max_depth=9 rr1=1 rr2=2 rr3=3 rr4=4 rr5=5 \
+                      bound_prunes=6 ub1_prunes=7 kdclub_prunes=8 s_vertex_prunes=9 \
+                      init_size=10 pre_n=11 pre_m=12 ctcp_v=13 ctcp_e=14 arena=15 \
+                      rebuilds=16 ego=17 pre_ns=123456 search_ns=789012 \
+                      bc0=900:0:1000 bc1=900:600:2000 bc2=300:250:3000 bc3=50:20:4000 bc4=0:0:0";
+        let back = SearchStats::decode_compact(legacy).unwrap();
+        assert_eq!(back.bound_costs, [BoundCost::default(); bound::COUNT]);
+        assert_eq!(back.encode_compact(), sample().encode_compact());
     }
 
     #[test]
