@@ -138,8 +138,12 @@ pub struct Verdict {
     pub failures: Vec<String>,
 }
 
-/// Runs `f` `reps` times and returns the median duration in nanoseconds.
+/// Runs `f` once untimed, then `reps` times timed, and returns the median
+/// duration in nanoseconds. The untimed call pays what only a first run
+/// pays (page faults on fresh allocations, cold caches), so a one-rep
+/// median is a warm run like the median of several.
 pub fn median_ns(reps: usize, mut f: impl FnMut()) -> u128 {
+    f();
     let mut samples: Vec<u128> = (0..reps)
         .map(|_| {
             let t = Instant::now();
@@ -403,6 +407,17 @@ mod tests {
         let _ = Case::new("solve/x/kdc", 1, 1)
             .with("nodes", 1)
             .with("nodes", 1);
+    }
+
+    #[test]
+    fn a_slow_first_call_does_not_set_a_one_rep_median() {
+        let mut first = true;
+        let median = median_ns(1, || {
+            if std::mem::take(&mut first) {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+        });
+        assert!(median < 25_000_000, "median {median} ns is the cold call");
     }
 
     #[test]

@@ -9,26 +9,31 @@
 //! solve_one <path/to/graph-file> <k> [preset]
 //! ```
 //!
-//! Presets: kdc (default), kdc_t, no_ub1, no_rr34, no_ub1_rr34, degen,
-//! kdbb, madec.
+//! Presets: every public name (kdc (default), kdc_t, kdclub, kdbb, madec)
+//! plus the ablations no_ub1, no_rr34, no_ub1_rr34 and degen.
 
+use kdc::config::parse_time_limit_arg;
 use kdc::SolverConfig;
 use kdc_api::{Budget, Options, Query, Session};
 use kdc_graph::{gen, io, Graph};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+/// A public preset name (see [`SolverConfig::from_preset`]) or one of the
+/// §4.2 ablations, which have no public name.
 fn preset(name: &str) -> SolverConfig {
-    match name {
-        "kdc" => SolverConfig::kdc(),
-        "kdc_t" => SolverConfig::kdc_t(),
+    SolverConfig::from_preset(name).unwrap_or_else(|err| match name {
         "no_ub1" => SolverConfig::without_ub1(),
         "no_rr34" => SolverConfig::without_rr3_rr4(),
         "no_ub1_rr34" => SolverConfig::without_ub1_rr3_rr4(),
         "degen" => SolverConfig::degen(),
-        "kdbb" => SolverConfig::kdbb_like(),
-        "madec" => SolverConfig::madec_like(),
-        other => panic!("unknown preset {other:?}"),
-    }
+        _ => fail(&err),
+    })
+}
+
+/// Reports a bad argument and exits with status 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("solve_one: {msg}");
+    std::process::exit(2)
 }
 
 fn load(spec: &str) -> Graph {
@@ -58,7 +63,10 @@ fn main() {
     let spec = args.get(1).expect("graph spec");
     let k: usize = args.get(2).expect("k").parse().expect("k");
     let preset_name = args.get(3).map(String::as_str).unwrap_or("kdc");
-    let limit = args.get(4).and_then(|a| a.parse::<f64>().ok());
+    let cfg = preset(preset_name);
+    let limit = args
+        .get(4)
+        .map(|a| parse_time_limit_arg(a).unwrap_or_else(|err| fail(&err)));
 
     let g = load(spec);
     println!(
@@ -71,10 +79,9 @@ fn main() {
     // The measured path is the served path: drive the same kdc_api Session
     // the CLI and the daemon use. Ablation presets beyond the public name
     // table ride in as explicit (non-memoized) configurations.
-    let cfg = preset(preset_name);
     let session = Session::new(g);
     let budget = Budget {
-        time_limit: limit.map(Duration::from_secs_f64),
+        time_limit: limit,
         ..Budget::default()
     };
     let t0 = Instant::now();

@@ -55,9 +55,9 @@ impl Scale {
 /// The search-heavy planted cases of the `bench` baseline (`BENCH_5.json`
 /// onward): `(name, graph, k)` triples whose noise is tuned so
 /// preprocessing leaves a real branch-and-bound search. The single source
-/// of these generator parameters — the `bench` binary and the `engine`
-/// criterion bench must measure identical instances, or the committed
-/// baseline stops describing the bench.
+/// of these generator parameters — the `bench` binary and `perfbench`'s
+/// `dense-search` workload must measure identical instances, or the
+/// committed baseline stops describing them.
 pub fn planted_snapshot_cases() -> Vec<(&'static str, Graph, usize)> {
     let (g200, _) = gen::planted_defective_clique(200, 14, 3, 0.30, &mut gen::seeded_rng(13));
     let (g220, _) = gen::planted_defective_clique(220, 14, 3, 0.28, &mut gen::seeded_rng(17));

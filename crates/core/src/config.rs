@@ -321,27 +321,14 @@ impl SolverConfig {
     /// initial solution.
     pub fn kdc_t() -> Self {
         SolverConfig {
-            branch_policy: BranchPolicy::MaxNonNeighbors,
-            enable_rr2: true,
             enable_rr3: false,
             enable_rr4: false,
             enable_rr5: false,
             enable_rr6: false,
             enable_ub1: false,
             enable_ub3: false,
-            enable_kdclub: false,
-            use_eq2_bound: false,
-            word_kernel: true,
             heuristic: InitialHeuristic::None,
-            time_limit: None,
-            node_limit: None,
-            cancel: None,
-            shared_peeling: None,
-            shared_ctcp: None,
-            seed_solution: None,
-            known_ub: None,
-            on_event: None,
-            trace: None,
+            ..Self::kdc()
         }
     }
 
@@ -403,23 +390,9 @@ impl SolverConfig {
             enable_rr2: false,
             enable_rr3: false,
             enable_rr4: false,
-            enable_rr5: true,
-            enable_rr6: true,
             enable_ub1: false,
-            enable_ub3: true,
-            enable_kdclub: false,
-            use_eq2_bound: false,
-            word_kernel: true,
             heuristic: InitialHeuristic::Degen,
-            time_limit: None,
-            node_limit: None,
-            cancel: None,
-            shared_peeling: None,
-            shared_ctcp: None,
-            seed_solution: None,
-            known_ub: None,
-            on_event: None,
-            trace: None,
+            ..Self::kdc()
         }
     }
 
@@ -431,23 +404,12 @@ impl SolverConfig {
             enable_rr2: false,
             enable_rr3: false,
             enable_rr4: false,
-            enable_rr5: true,
             enable_rr6: false,
             enable_ub1: false,
             enable_ub3: false,
-            enable_kdclub: false,
             use_eq2_bound: true,
-            word_kernel: true,
             heuristic: InitialHeuristic::Degen,
-            time_limit: None,
-            node_limit: None,
-            cancel: None,
-            shared_peeling: None,
-            shared_ctcp: None,
-            seed_solution: None,
-            known_ub: None,
-            on_event: None,
-            trace: None,
+            ..Self::kdc()
         }
     }
 

@@ -60,21 +60,6 @@ pub fn root_bounds(g: &Graph, s: &[VertexId], k: usize) -> RootBounds {
     }
 }
 
-/// Micro-benchmark helper: evaluates all bounds `iters` times on the same
-/// engine state and returns the elapsed wall time. Used by the criterion
-/// benches to measure per-node bound cost in isolation.
-pub fn bench_bounds(g: &Graph, s: &[VertexId], k: usize, iters: u32) -> std::time::Duration {
-    let mut engine = engine_with_s(g, s, k);
-    let t0 = std::time::Instant::now();
-    let mut sink = 0usize;
-    for _ in 0..iters {
-        let (a, b, c, d) = engine.all_bounds();
-        sink = sink.wrapping_add(a + b + c.min(1 << 20) + d);
-    }
-    std::hint::black_box(sink);
-    t0.elapsed()
-}
-
 /// A kDC engine primed with `g` as its universe and `s` forced into S.
 fn engine_with_s(g: &Graph, s: &[VertexId], k: usize) -> Engine {
     let mut engine = Engine::hollow(k, SolverConfig::kdc());

@@ -739,6 +739,10 @@ mod tests {
             "resumed reducer is already at the fixpoint"
         );
         assert_eq!(warm2.stats.ctcp_edge_removals, 0);
+        assert_eq!(
+            warm2.stats.universe_rebuilds, 1,
+            "warm path performs no extra universe rebuilds"
+        );
 
         // A mismatched resident reducer (wrong k) is ignored, not misused.
         let wrong = Arc::new(Mutex::new(Ctcp::new(&g, k + 1)));

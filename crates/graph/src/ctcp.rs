@@ -620,9 +620,9 @@ impl Ctcp {
 
 /// Reference implementation: iterates `truss_filter` + `k_core` from scratch
 /// to the joint fixpoint. Returns the reduced, relabelled graph and the new
-/// → old id map. Pays a full triangle count per pass; used by tests and the
-/// scratch side of the `ctcp` bench to pin down what [`Ctcp::tighten`] must
-/// produce.
+/// → old id map. Pays a full triangle count per pass; used by tests to pin
+/// down what [`Ctcp::tighten`] must produce, and by `bench`'s
+/// `ctcp/planted-2k-scratch` case as the cost the reducer must beat.
 pub fn scratch_fixpoint(g: &Graph, k: usize, lb: usize) -> (Graph, Vec<VertexId>) {
     scratch_fixpoint_rules(g, k, lb, true, true)
 }
