@@ -144,6 +144,13 @@ pub struct Verdict {
 /// median is a warm run like the median of several.
 pub fn median_ns(reps: usize, mut f: impl FnMut()) -> u128 {
     f();
+    warm_median_ns(reps, f)
+}
+
+/// [`median_ns`] without the untimed call, for a case the caller has
+/// already run once (a reference run whose counts the timed runs check),
+/// so that run is the warm-up.
+pub fn warm_median_ns(reps: usize, mut f: impl FnMut()) -> u128 {
     let mut samples: Vec<u128> = (0..reps)
         .map(|_| {
             let t = Instant::now();

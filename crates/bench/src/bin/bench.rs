@@ -10,8 +10,8 @@
 //!   nodes, solution size, per-bound cost attribution (invocations /
 //!   prunes / ns / prune rate for UB3, UB1 and KD-Club) and the
 //!   per-phase nanoseconds of the tracer spans `kdc solve --profile`
-//!   prints. Plus the incremental CTCP reducer and the from-scratch
-//!   core/truss fixpoint across a rising lower-bound schedule, the
+//!   prints. Plus one CTCP reducer tightened across a rising lower-bound
+//!   schedule against a fresh reducer at every step of it, the
 //!   tie-ordered degeneracy peel against the O(n + m) bucket peel on
 //!   `rmat16`, `Degen-opt` and the CTCP reducer (its build, and build plus
 //!   one tighten) on `rmat16` at `k = 3`, and `io::read_graph` of `rmat16`
@@ -26,7 +26,7 @@
 //!   byte-identical to the cold solve.
 //!
 //! Every run checks the same-run ratio gates (kdclub/kdc nodes, word/scalar
-//! wall, incremental/scratch CTCP wall, tie-ordered/bucket peel wall,
+//! wall, warm/fresh CTCP wall, tie-ordered/bucket peel wall,
 //! Degen-opt/tie-ordered peel wall, reducer build/bucket peel and cold
 //! reducer/bucket peel wall, read_graph/bucket peel wall, batch/cold nodes
 //! and wall, warm/cold nodes), which hold on any machine.
@@ -41,8 +41,8 @@
 
 use kdc::{bound, heuristic, Solver, SolverConfig};
 use kdc_api::{Budget, Options, Outcome, Session, SubQuery};
-use kdc_bench::baseline::{self, median_ns, Case, Gate, Measure};
-use kdc_graph::ctcp::{scratch_fixpoint, Ctcp};
+use kdc_bench::baseline::{self, median_ns, warm_median_ns, Case, Gate, Measure};
+use kdc_graph::ctcp::Ctcp;
 use kdc_graph::degeneracy::{self, BucketPeel};
 use kdc_graph::{gen, Graph};
 use kdc_service::{export_graph_state, import_graph_state};
@@ -123,7 +123,7 @@ fn solve_case(name: String, g: &Graph, k: usize, cfg: &SolverConfig, reps: usize
         reference.is_optimal(),
         "{name}: case must solve to optimality"
     );
-    let median = median_ns(reps, || {
+    let median = warm_median_ns(reps, || {
         let sol = Solver::new(g, k, cfg.clone()).solve();
         assert_eq!(
             sol.stats.nodes, reference.stats.nodes,
@@ -157,17 +157,17 @@ fn solve_case(name: String, g: &Graph, k: usize, cfg: &SolverConfig, reps: usize
 const CTCP_SCHEDULE: [usize; 6] = [8, 10, 12, 14, 16, 18];
 
 /// Bound on `incremental / scratch` wall over `CTCP_SCHEDULE` on
-/// planted-2k: one `Ctcp` built and tightened step by step, against
-/// `scratch_fixpoint` recomputed at every step. Measured at 0.16 to 0.18
-/// in three `--reps 3` checks and 0.12 to 0.25 in four `--reps 1` checks on
-/// a 2-vCPU VM (incremental 6.0 to 7.3 ms with its construction, scratch
-/// 35 to 39 ms), so a warm reducer that stops beating the recompute by 2x
-/// fails the gate.
+/// planted-2k: one `Ctcp` built and tightened step by step, against a
+/// fresh `Ctcp` built and tightened at every step, the recompute a solve
+/// makes when it holds no resident reducer. Measured at 0.20 to 0.21 in
+/// three `--reps 3` checks on a 2-vCPU VM (warm 3.3 ms with its
+/// construction, fresh about 16 ms), so a warm reducer that stops beating
+/// a fresh one by 2x fails the gate.
 const CTCP_WARM_MAX: f64 = 0.5;
 
-/// The incremental CTCP reducer and the from-scratch core/truss fixpoint,
-/// each driven across `CTCP_SCHEDULE`. Both must land on the same
-/// survivors; the incremental side is gated against the scratch side.
+/// One CTCP reducer tightened across `CTCP_SCHEDULE`, and a fresh reducer
+/// built and tightened at each of its steps. Both must land on the same
+/// survivors; the warm side is gated against the fresh side.
 fn ctcp_schedule_suite(g: &Graph, reps: usize) -> Suite {
     let (mut vertex_removals, mut edge_removals) = (0u64, 0u64);
     let incremental_median = median_ns(reps, || {
@@ -182,15 +182,16 @@ fn ctcp_schedule_suite(g: &Graph, reps: usize) -> Suite {
     let mut survivors = (0, 0);
     let scratch_median = median_ns(reps, || {
         for &lb in &CTCP_SCHEDULE {
-            let (reduced, keep) = scratch_fixpoint(g, 2, lb);
-            survivors = (keep.len(), reduced.m());
+            let mut fresh = Ctcp::new(g, 2);
+            fresh.tighten(lb);
+            survivors = (fresh.alive_n(), fresh.alive_m());
         }
     });
     let scratch_removals = ((g.n() - survivors.0) as u64, (g.m() - survivors.1) as u64);
     assert_eq!(
         scratch_removals,
         (vertex_removals, edge_removals),
-        "planted-2k: incremental and scratch reach the same fixpoint"
+        "planted-2k: the warm and the fresh reducer reach the same fixpoint"
     );
     let incremental = "ctcp/planted-2k-schedule".to_string();
     let scratch = "ctcp/planted-2k-scratch".to_string();
@@ -407,7 +408,7 @@ fn batch_suite(reps: usize) -> Suite {
 
     let reference: Vec<Outcome> = K_SWEEP.map(cold).collect();
     let cold_nodes: u64 = reference.iter().map(|o| o.stats.nodes).sum();
-    let cold_median = median_ns(reps, || {
+    let cold_median = warm_median_ns(reps, || {
         let nodes: u64 = K_SWEEP.map(|k| cold(k).stats.nodes).sum();
         assert_eq!(
             nodes, cold_nodes,
@@ -428,7 +429,7 @@ fn batch_suite(reps: usize) -> Suite {
         "{name}: the sweep must share a reducer pass and seed a lower bound"
     );
     let batch_nodes = batch.total_nodes();
-    let batch_median = median_ns(reps, || {
+    let batch_median = warm_median_ns(reps, || {
         let nodes = sweep().total_nodes();
         assert_eq!(
             nodes, batch_nodes,
@@ -502,7 +503,7 @@ fn recovery_suite(reps: usize) -> Suite {
         "{name}: cold solve must prove k={K}"
     );
     let cold_nodes = reference.stats.nodes;
-    let cold_median = median_ns(reps, || {
+    let cold_median = warm_median_ns(reps, || {
         let again = Session::new(g.clone()).solve(K);
         assert_eq!(
             again.stats.nodes, cold_nodes,
@@ -543,7 +544,7 @@ fn recovery_suite(reps: usize) -> Suite {
     } else {
         first.stats.nodes
     };
-    let warm_median = median_ns(reps, || {
+    let warm_median = warm_median_ns(reps, || {
         let (out, _, _) = warm_restart(&state_dir, &g, K);
         assert!(
             out.cache.result_memo_hit,

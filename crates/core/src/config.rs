@@ -156,10 +156,6 @@ pub enum BranchPolicy {
     /// Prefer the candidate with the most non-neighbours in `S`
     /// (fails fastest towards RR1). Default for kDC.
     MaxNonNeighbors,
-    /// The first candidate with a non-neighbour in `S`, in internal order.
-    FirstEligible,
-    /// The eligible candidate with minimum alive degree.
-    MinDegree,
     /// Plain maximum-degree branching, *ignoring* the BR preference for
     /// non-fully-adjacent vertices. Used by the baselines, which predate BR;
     /// still correct, but forfeits the `O*(γ_k^n)` argument.
@@ -383,7 +379,7 @@ impl SolverConfig {
 
     /// A KDBB-like baseline \[16\]: preprocessing (core + truss) and the UB3
     /// bound, but none of kDC's novel rules (no RR2/RR3/RR4, no UB1) and
-    /// plain min-degree branching.
+    /// plain max-degree branching.
     pub fn kdbb_like() -> Self {
         SolverConfig {
             branch_policy: BranchPolicy::MaxDegreeAny,

@@ -540,12 +540,7 @@ mod tests {
             let g = kdc_graph::gen::gnp(18, 0.45, &mut rng);
             for k in [0usize, 2] {
                 let mut sizes = Vec::new();
-                for policy in [
-                    BranchPolicy::MaxNonNeighbors,
-                    BranchPolicy::FirstEligible,
-                    BranchPolicy::MinDegree,
-                    BranchPolicy::MaxDegreeAny,
-                ] {
+                for policy in [BranchPolicy::MaxNonNeighbors, BranchPolicy::MaxDegreeAny] {
                     let mut cfg = SolverConfig::kdc();
                     cfg.branch_policy = policy;
                     let sol = crate::Solver::new(&g, k, cfg).solve();

@@ -748,24 +748,6 @@ impl Engine {
                         .expect("nonempty")
                 }
             }
-            BranchPolicy::FirstEligible => cands
-                .iter()
-                .copied()
-                .find(|&v| self.non_nbr_s[v as usize] > 0)
-                .unwrap_or(cands[0]),
-            BranchPolicy::MinDegree => {
-                let eligible: Option<u32> = cands
-                    .iter()
-                    .copied()
-                    .filter(|&v| self.non_nbr_s[v as usize] > 0)
-                    .min_by_key(|&v| self.deg[v as usize]);
-                eligible.unwrap_or_else(|| {
-                    *cands
-                        .iter()
-                        .min_by_key(|&&v| self.deg[v as usize])
-                        .expect("nonempty")
-                })
-            }
             BranchPolicy::MaxDegreeAny => *cands
                 .iter()
                 .max_by_key(|&&v| self.deg[v as usize])

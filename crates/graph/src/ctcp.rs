@@ -9,11 +9,11 @@
 //!
 //! [`Ctcp`] instead *maintains* per-vertex degrees and per-edge triangle
 //! supports alongside alive flags, and propagates removals through a work
-//! queue: deleting an edge decrements two degrees and the supports of the
-//! edges of every triangle through it; deleting a vertex cascades into its
-//! incident edges. Each call to [`Ctcp::tighten`] with a (monotonically
-//! non-decreasing) lower bound therefore pays only for the vertices, edges
-//! and triangles it actually touches — the classic CTCP scheme of Chang
+//! queue of edges: deleting an edge decrements two degrees and the supports
+//! of the edges of every triangle through it. Each call to
+//! [`Ctcp::tighten`] with a (monotonically non-decreasing) lower bound
+//! therefore pays only for the vertices, edges and triangles it actually
+//! touches — the classic CTCP scheme of Chang
 //! (SIGMOD 2023), which computes the *joint* core+truss fixpoint (a subgraph
 //! of what one core → truss → core sweep leaves behind, and never anything a
 //! solution larger than `lb` could use).
@@ -34,12 +34,24 @@
 //! pays for the shell around it. The joint fixpoint is unique and lies
 //! inside the `(lb − k)`-core, so counting late changes no survivor.
 //!
-//! From then on, degrees and supports only ever decrease, so threshold
-//! crossings between two `tighten` calls are found by draining
-//! degree/support buckets rather than rescanning the graph: every decrement
-//! files the vertex (edge) under its new degree (support), and a `tighten`
-//! at a higher bound drains exactly the buckets the raised thresholds newly
-//! cover.
+//! From then on, supports only ever decrease, so threshold crossings
+//! between two `tighten` calls are found by draining support buckets rather
+//! than rescanning the graph: every decrement files the edge under its new
+//! support, and a `tighten` at a higher bound drains exactly the buckets the
+//! raised truss threshold newly covers.
+//!
+//! The drain is edge-only. With both rules on, the degree threshold is
+//! `deg_t = lb − k` and the support threshold `supp_t = lb − k − 1`, so
+//! `deg_t = supp_t + 1` whenever supports are counted (`supp_t ≥ 1`). An
+//! edge at a vertex of alive degree `d` lies in at most `d − 1` triangles,
+//! since its other endpoint is one of the `d` neighbours and each triangle
+//! takes a third. So once no alive edge has support below `supp_t`, every
+//! vertex with an alive edge has degree `≥ supp_t + 1 = deg_t`: the core
+//! rule can only retire vertices with no alive edge left. The reducer
+//! therefore removes a vertex the moment its last edge dies, and keeps no
+//! degree buckets. With the core rule off vertices never die; with the
+//! truss rule off supports are never counted and the core phase is all
+//! there is.
 //!
 //! ```
 //! use kdc_graph::ctcp::Ctcp;
@@ -63,7 +75,10 @@ use crate::truss::EdgeIndex;
 /// What one [`Ctcp::tighten`] call deleted.
 #[derive(Clone, Debug, Default)]
 pub struct Removals {
-    /// Vertices removed by this call (original graph ids, removal order).
+    /// Vertices removed by this call, in original graph ids. During the
+    /// core phase they come in peel order; once supports are counted, in
+    /// the order in which they lose their last alive edge. The solver reads
+    /// only the length.
     pub vertices: Vec<VertexId>,
     /// Number of edges removed by this call (including edges that died with
     /// a removed endpoint).
@@ -95,7 +110,7 @@ pub struct Ctcp {
     /// A copy of the input graph until supports are counted, `None`
     /// after. While it is held the alive graph is the subgraph the alive
     /// vertices induce (the `deg_t`-core), and the index, the per-edge
-    /// arrays, `deg`, `v_queued` and the buckets are empty.
+    /// arrays, `deg` and the buckets are empty.
     input: Option<Graph>,
     /// Built when supports are counted, over the vertices alive then:
     /// `edges[e] = (u, v)` with `u < v`, rows of sorted `(neighbour, e)`.
@@ -113,11 +128,9 @@ pub struct Ctcp {
     v_alive: Vec<bool>,
     e_alive: Vec<bool>,
     /// Already queued for removal (never cleared: queued ⇒ removed).
-    v_queued: Vec<bool>,
     e_queued: Vec<bool>,
-    /// `vbucket[d]` holds vertices filed when their degree became `d`
-    /// (lazily invalidated); likewise `ebucket[s]` for edge supports.
-    vbucket: Vec<Vec<u32>>,
+    /// `ebucket[s]` holds edges filed when their support became `s`
+    /// (lazily invalidated).
     ebucket: Vec<Vec<u32>>,
     /// Degree / support thresholds already applied (exclusive: no live
     /// vertex or edge sits below them).
@@ -131,7 +144,6 @@ pub struct Ctcp {
     edge_removals: u64,
 
     mark: ScratchMap,
-    vqueue: Vec<u32>,
     equeue: Vec<u32>,
 }
 
@@ -217,9 +229,7 @@ impl Ctcp {
             deg: Vec::new(),
             v_alive: vec![true; n],
             e_alive: Vec::new(),
-            v_queued: Vec::new(),
             e_queued: Vec::new(),
-            vbucket: Vec::new(),
             ebucket: Vec::new(),
             deg_t: 0,
             supp_t: 0,
@@ -228,7 +238,6 @@ impl Ctcp {
             vertex_removals: 0,
             edge_removals: 0,
             mark: ScratchMap::new(0),
-            vqueue: Vec::new(),
             equeue: Vec::new(),
         }
     }
@@ -335,22 +344,10 @@ impl Ctcp {
         }
 
         if self.input.is_none() {
-            // Drain the buckets the raised thresholds newly cover. Entries
+            // Drain the buckets the raised threshold newly covers. Entries
             // are lazily invalidated: skip anything dead, already queued, or
-            // filed under a stale degree/support (the live entry sits in a
-            // lower bucket that this same ascending sweep already drained).
-            for d in self.deg_t..new_deg_t.min(self.vbucket.len() as u32) {
-                let mut bucket = std::mem::take(&mut self.vbucket[d as usize]);
-                for v in bucket.drain(..) {
-                    if self.v_alive[v as usize]
-                        && !self.v_queued[v as usize]
-                        && self.deg[v as usize] == d
-                    {
-                        self.v_queued[v as usize] = true;
-                        self.vqueue.push(v);
-                    }
-                }
-            }
+            // filed under a stale support (the live entry sits in a lower
+            // bucket that this same ascending sweep already drained).
             for s in self.supp_t..new_supp_t.min(self.ebucket.len() as u32) {
                 let mut bucket = std::mem::take(&mut self.ebucket[s as usize]);
                 for e in bucket.drain(..) {
@@ -365,19 +362,14 @@ impl Ctcp {
             }
             self.deg_t = self.deg_t.max(new_deg_t);
             self.supp_t = self.supp_t.max(new_supp_t);
-
-            while !self.vqueue.is_empty() || !self.equeue.is_empty() {
-                if let Some(e) = self.equeue.pop() {
-                    if self.e_alive[e as usize] {
-                        self.remove_edge(e);
-                    }
-                    continue;
-                }
-                let v = self.vqueue.pop().expect("queue checked non-empty");
-                if self.v_alive[v as usize] {
-                    self.remove_vertex(v, &mut out.vertices);
-                }
+            while let Some(e) = self.equeue.pop() {
+                self.remove_edge(e, &mut out.vertices);
             }
+            debug_assert!(
+                !self.core_rule
+                    || (0..self.n()).all(|v| !self.v_alive[v] || self.deg[v] >= self.deg_t),
+                "an alive vertex sits below the degree threshold after the drain"
+            );
         }
 
         out.edges = self.edge_removals - edges_before;
@@ -386,10 +378,10 @@ impl Ctcp {
 
     /// Ends the core phase: indexes the subgraph the surviving vertices
     /// induce, counts its triangle supports, sizes the per-edge arrays to
-    /// its edges, files every survivor in the degree and support buckets
-    /// and drops the input copy. The edges outside that subgraph are the
-    /// ones the core phase removed without walking their rows. Runs once,
-    /// so the warm [`Ctcp::tighten`] stays allocation-free.
+    /// its edges, files every edge in the support buckets and drops the
+    /// input copy. The edges outside that subgraph are the ones the core
+    /// phase removed without walking their rows. Runs once, so the warm
+    /// [`Ctcp::tighten`] stays allocation-free.
     fn count_supports(&mut self) {
         let g = self.input.take().expect("supports are counted once");
         self.idx = EdgeIndex::induced(&g, &self.v_alive);
@@ -407,44 +399,14 @@ impl Ctcp {
         self.e_alive = vec![true; m_core];
         self.e_queued = vec![false; m_core];
 
-        let n = self.v_alive.len();
         self.deg = self
             .idx
             .offsets
             .windows(2)
             .map(|w| (w[1] - w[0]) as u32)
             .collect();
-        if self.core_rule {
-            let max_deg = self.deg.iter().copied().max().unwrap_or(0) as usize;
-            self.vbucket = vec![Vec::new(); max_deg + 1];
-            for (v, &d) in self.deg.iter().enumerate() {
-                if self.v_alive[v] {
-                    self.vbucket[d as usize].push(v as u32);
-                }
-            }
-        }
-        self.v_queued = vec![false; n];
-        self.mark = ScratchMap::new(n);
+        self.mark = ScratchMap::new(self.v_alive.len());
         self.core_order = Vec::new();
-    }
-
-    /// Files `v` under its (just decremented) degree, or queues it for
-    /// removal when it crossed the active threshold. A no-op with the core
-    /// rule off: no vertex buckets exist then.
-    #[inline]
-    fn refile_vertex(&mut self, v: u32) {
-        if !self.core_rule {
-            return;
-        }
-        let d = self.deg[v as usize];
-        if d < self.deg_t {
-            if !self.v_queued[v as usize] {
-                self.v_queued[v as usize] = true;
-                self.vqueue.push(v);
-            }
-        } else {
-            self.vbucket[d as usize].push(v);
-        }
     }
 
     /// Takes one triangle off edge `e`'s support, then files `e` under the
@@ -465,12 +427,15 @@ impl Ctcp {
 
     /// Removes edge `e` (both endpoints alive, supports counted): two
     /// degree decrements and a support decrement for both remaining edges
-    /// of every triangle through `e`. Those triangles are found from the
-    /// shorter row `a`: by one binary search of the longer row `b` per
-    /// entry of `a` when `b` is much longer, else by marking `a` and
-    /// scanning `b`, which costs less per entry. Cost (row lengths as
-    /// indexed): `O(min(d_a·log d_b, d_a + d_b))`.
-    fn remove_edge(&mut self, e: u32) {
+    /// of every triangle through `e`. With the core rule on, an endpoint
+    /// left without an alive edge dies here and is pushed to `removed`
+    /// (the module docs show why no other vertex can fall below the degree
+    /// threshold). The triangles are found from the shorter row `a`: by
+    /// one binary search of the longer row `b` per entry of `a` when `b`
+    /// is much longer, else by marking `a` and scanning `b`, which costs
+    /// less per entry. Cost (row lengths as indexed):
+    /// `O(min(d_a·log d_b, d_a + d_b))`.
+    fn remove_edge(&mut self, e: u32, removed: &mut Vec<VertexId>) {
         debug_assert!(self.input.is_none() && self.e_alive[e as usize]);
         self.e_alive[e as usize] = false;
         self.alive_m -= 1;
@@ -478,10 +443,15 @@ impl Ctcp {
         let (u, v) = self.idx.edges[e as usize];
         debug_assert!(self.v_alive[u as usize] && self.v_alive[v as usize]);
 
-        self.deg[u as usize] -= 1;
-        self.deg[v as usize] -= 1;
-        self.refile_vertex(u);
-        self.refile_vertex(v);
+        for x in [u, v] {
+            self.deg[x as usize] -= 1;
+            if self.core_rule && self.deg[x as usize] == 0 {
+                self.v_alive[x as usize] = false;
+                self.alive_n -= 1;
+                self.vertex_removals += 1;
+                removed.push(x);
+            }
+        }
 
         // Both ways visit the common alive neighbours w in ascending order
         // and decrement (a, w) before (b, w).
@@ -528,59 +498,6 @@ impl Ctcp {
         }
     }
 
-    /// Removes vertex `v` (supports counted): every incident alive edge
-    /// dies (degree updates on the far endpoints), and the third edge of
-    /// every triangle through `v` loses one support.
-    fn remove_vertex(&mut self, v: u32, removed: &mut Vec<VertexId>) {
-        debug_assert!(self.input.is_none() && self.v_alive[v as usize]);
-        self.v_alive[v as usize] = false;
-        self.alive_n -= 1;
-        self.vertex_removals += 1;
-        removed.push(v);
-        let row = self.idx.offsets[v as usize]..self.idx.offsets[v as usize + 1];
-
-        // Snapshot + mark the alive neighbourhood first: triangle support
-        // updates must see the incident edges as they were at removal time.
-        self.mark.reset();
-        for i in row.clone() {
-            let (w, e) = self.idx.inc[i];
-            if self.e_alive[e as usize] {
-                self.mark.set(w as usize, 1);
-            }
-        }
-        // For each triangle (v, w, x): the surviving edge (w, x) loses one
-        // support. Enumerated from each alive neighbour w by probing its row
-        // against the mark, taking each pair once.
-        for i in row.clone() {
-            let (w, ev) = self.idx.inc[i];
-            if !self.e_alive[ev as usize] {
-                continue;
-            }
-            for j in self.idx.offsets[w as usize]..self.idx.offsets[w as usize + 1] {
-                let (x, ewx) = self.idx.inc[j];
-                if x > w && self.e_alive[ewx as usize] && self.mark.get_or(x as usize, 0) == 1 {
-                    self.lose_support(ewx);
-                }
-            }
-        }
-
-        // Now retire the incident edges themselves.
-        for i in row {
-            let (w, e) = self.idx.inc[i];
-            if !self.e_alive[e as usize] {
-                continue;
-            }
-            self.e_alive[e as usize] = false;
-            self.alive_m -= 1;
-            self.edge_removals += 1;
-            debug_assert!(self.v_alive[w as usize] || self.v_queued[w as usize]);
-            if self.v_alive[w as usize] {
-                self.deg[w as usize] -= 1;
-                self.refile_vertex(w);
-            }
-        }
-    }
-
     /// Extracts the surviving universe as a relabelled graph plus the new →
     /// old id map, built directly in CSR form from the input copy before
     /// supports are counted and from the index after. Allocates; callers
@@ -618,11 +535,11 @@ impl Ctcp {
     }
 }
 
-/// Reference implementation: iterates `truss_filter` + `k_core` from scratch
-/// to the joint fixpoint. Returns the reduced, relabelled graph and the new
-/// → old id map. Pays a full triangle count per pass; used by tests to pin
-/// down what [`Ctcp::tighten`] must produce, and by `bench`'s
-/// `ctcp/planted-2k-scratch` case as the cost the reducer must beat.
+/// Reference implementation: iterates [`k_truss`](crate::truss::k_truss)
+/// and `k_core` from scratch to the joint fixpoint. Returns the reduced,
+/// relabelled graph and the new → old id map. Shares no drain code with
+/// [`Ctcp`], so tests use it to pin down what [`Ctcp::tighten`] must
+/// produce.
 pub fn scratch_fixpoint(g: &Graph, k: usize, lb: usize) -> (Graph, Vec<VertexId>) {
     scratch_fixpoint_rules(g, k, lb, true, true)
 }
@@ -637,7 +554,7 @@ pub fn scratch_fixpoint_rules(
 ) -> (Graph, Vec<VertexId>) {
     let deg_t = if core_rule { lb.saturating_sub(k) } else { 0 };
     let supp_t = if truss_rule {
-        lb.saturating_sub(k + 1) as u32
+        lb.saturating_sub(k + 1)
     } else {
         0
     };
@@ -647,7 +564,7 @@ pub fn scratch_fixpoint_rules(
         let n_before = current.n();
         let m_before = current.m();
         if supp_t > 0 {
-            current = crate::truss::truss_filter(&current, supp_t);
+            current = crate::truss::k_truss(&current, supp_t + 2);
         }
         if deg_t > 0 {
             // Core removals drop vertices (and with them edges); truss-only

@@ -1,10 +1,12 @@
 //! k-truss decomposition (Definition 2.5).
 //!
 //! The k-truss is the maximal *edge-induced* subgraph in which every edge
-//! participates in at least `k − 2` triangles. It is computed by iterative
-//! edge peeling over triangle supports, and underlies the paper's reduction
-//! rule RR6 (the (lb−k+1)-truss of the input graph). Supports are counted
-//! by degree-ordered orientation in `O(m·√m)`.
+//! participates in at least `k − 2` triangles; it underlies the paper's
+//! reduction rule RR6 (the (lb−k+1)-truss of the input graph). [`k_truss`]
+//! computes it straight from that definition, as the reference the
+//! incremental reducer in [`crate::ctcp`] is tested against. The reducer
+//! itself builds an [`EdgeIndex`] and counts its triangle supports by
+//! degree-ordered orientation in `O(m·√m)`.
 
 use crate::graph::{Graph, VertexId};
 use crate::scratch::ScratchMap;
@@ -18,16 +20,11 @@ pub struct EdgeIndex {
     pub edges: Vec<(VertexId, VertexId)>,
     /// The row of `v` is `inc[offsets[v]..offsets[v + 1]]`.
     pub(crate) offsets: Vec<usize>,
-    /// Concatenated `(neighbour, edge_id)` rows, each sorted by neighbour.
+    /// Concatenated `(neighbour, edge id)` rows, each sorted by neighbour.
     pub(crate) inc: Vec<(VertexId, u32)>,
 }
 
 impl EdgeIndex {
-    /// Builds the index of the whole graph; see [`EdgeIndex::induced`].
-    pub fn new(g: &Graph) -> Self {
-        Self::induced(g, &vec![true; g.n()])
-    }
-
     /// Builds the index of the subgraph of `g` induced by the vertices `v`
     /// with `keep[v]`, in two passes over their sorted CSR rows. Ids are
     /// dense over the kept edges, in [`Graph::edges`] order restricted to
@@ -71,19 +68,11 @@ impl EdgeIndex {
         }
     }
 
-    /// The `(neighbour, edge_id)` row of `v`, sorted by neighbour.
+    /// The `(neighbour, edge id)` row of `v`, sorted by neighbour.
     #[inline]
     pub fn row(&self, v: VertexId) -> &[(VertexId, u32)] {
         &self.inc[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
-}
-
-/// Triangle support of every edge: `support[e]` = number of triangles through
-/// edge `e`.
-pub fn edge_supports(g: &Graph) -> (EdgeIndex, Vec<u32>) {
-    let idx = EdgeIndex::new(g);
-    let support = count_supports(&idx);
-    (idx, support)
 }
 
 /// Triangle supports of the edges of `idx`.
@@ -133,107 +122,46 @@ pub(crate) fn count_supports(idx: &EdgeIndex) -> Vec<u32> {
     support
 }
 
-/// Looks up the edge id of `(u, v)` in the index, if the edge exists.
-/// Probes the *smaller* of the two rows (the id is recorded in both), so a
-/// lookup against a hub vertex costs `O(log d_min)`, not `O(log d_max)` —
-/// the same smaller-side rule as [`Graph::has_edge`].
-pub fn edge_id(idx: &EdgeIndex, u: VertexId, v: VertexId) -> Option<u32> {
-    let (a, b) = if idx.row(u).len() <= idx.row(v).len() {
-        (u, v)
-    } else {
-        (v, u)
-    };
-    let row = idx.row(a);
-    row.binary_search_by_key(&b, |&(w, _)| w)
-        .ok()
-        .map(|i| row[i].1)
-}
-
 /// Computes the `k`-truss of `g`: the maximal subgraph in which every edge is
 /// contained in at least `k − 2` triangles. Vertices are preserved; only
 /// edges are dropped. For `k ≤ 2` this is `g` itself.
+///
+/// Taken from the definition: drop every edge whose endpoints share fewer
+/// than `k − 2` neighbours, then recount on what is left, until no edge
+/// drops. Each round merges both sorted rows of every edge, so this pays
+/// `O(Σ_v d(v)²)` per round; it is the reference for tests, not a fast path.
 pub fn k_truss(g: &Graph, k: usize) -> Graph {
-    let threshold = k.saturating_sub(2) as u32;
-    truss_filter(g, threshold)
-}
-
-/// Removes (iteratively) every edge whose number of common neighbours is
-/// `< threshold`; the result is the `(threshold + 2)`-truss. This is the
-/// primitive behind reduction rule RR6, where `threshold = lb − k − 1`.
-pub fn truss_filter(g: &Graph, threshold: u32) -> Graph {
+    let threshold = k.saturating_sub(2);
+    let mut current = g.clone();
     if threshold == 0 {
-        return g.clone();
+        return current;
     }
-    let (idx, mut support) = edge_supports(g);
-    let ne = idx.edges.len();
-    let mut alive = vec![true; ne];
-    let mut queue: Vec<u32> = (0..ne as u32)
-        .filter(|&e| support[e as usize] < threshold)
-        .collect();
-    let mut mark = ScratchMap::new(g.n());
-
-    while let Some(e) = queue.pop() {
-        if !alive[e as usize] {
-            continue;
+    loop {
+        let next = current.edge_subgraph(|u, v| {
+            common_neighbours(current.neighbors(u), current.neighbors(v)) >= threshold
+        });
+        if next.m() == current.m() {
+            return next;
         }
-        alive[e as usize] = false;
-        let (u, v) = idx.edges[e as usize];
-        // For each live common neighbour w, the edges (u,w) and (v,w) each
-        // lose one triangle.
-        mark.reset();
-        for &(w, eu) in idx.row(u) {
-            if alive[eu as usize] {
-                mark.set(w as usize, eu as usize + 1);
-            }
-        }
-        for &(w, ev) in idx.row(v) {
-            if !alive[ev as usize] {
-                continue;
-            }
-            let stored = mark.get_or(w as usize, 0);
-            if stored == 0 {
-                continue;
-            }
-            let eu = (stored - 1) as u32;
-            for edge in [eu, ev] {
-                let s = &mut support[edge as usize];
-                *s = s.saturating_sub(1);
-                if *s < threshold && alive[edge as usize] {
-                    queue.push(edge);
-                }
-            }
-        }
+        current = next;
     }
-
-    g.edge_subgraph(|u, v| {
-        edge_id(&idx, u, v)
-            .map(|e| alive[e as usize])
-            .unwrap_or(false)
-    })
 }
 
-/// The trussness of each edge: the largest `k` such that the edge survives in
-/// the `k`-truss. Returned alongside the edge index. Edges in no triangle
-/// have trussness 2.
-pub fn trussness(g: &Graph) -> (EdgeIndex, Vec<u32>) {
-    // Simple repeated-peeling implementation (O(δ·m) per level); adequate for
-    // test-scale graphs and for the named examples.
-    let (idx, base_support) = edge_supports(g);
-    let max_k = base_support.iter().copied().max().unwrap_or(0) + 2;
-    let ne = idx.edges.len();
-    let mut truss = vec![2u32; ne];
-    for k in 3..=max_k {
-        let sub = k_truss(g, k as usize);
-        if sub.m() == 0 {
-            break;
-        }
-        for (e, &(u, v)) in idx.edges.iter().enumerate() {
-            if sub.has_edge(u, v) {
-                truss[e] = k;
+/// Number of values two sorted rows share.
+fn common_neighbours(a: &[VertexId], b: &[VertexId]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
             }
         }
     }
-    (idx, truss)
+    shared
 }
 
 #[cfg(test)]
@@ -244,25 +172,10 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn edge_id_is_symmetric_and_hub_safe() {
-        // A star K1,6 with one extra rim edge: every lookup that involves
-        // the hub must resolve identically from either endpoint (the lookup
-        // probes the smaller incidence list).
-        let g = Graph::from_edges(7, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (5, 6)]);
-        let idx = EdgeIndex::new(&g);
-        for (e, &(u, v)) in idx.edges.iter().enumerate() {
-            assert_eq!(edge_id(&idx, u, v), Some(e as u32));
-            assert_eq!(edge_id(&idx, v, u), Some(e as u32), "symmetric lookup");
-        }
-        assert_eq!(edge_id(&idx, 1, 2), None);
-        assert_eq!(edge_id(&idx, 2, 1), None);
-    }
-
-    #[test]
     fn edge_index_rows_mirror_the_csr() {
         let mut rng = SmallRng::seed_from_u64(3);
         let g = gen::gnp(50, 0.2, &mut rng);
-        let idx = EdgeIndex::new(&g);
+        let idx = EdgeIndex::induced(&g, &vec![true; g.n()]);
         assert_eq!(idx.edges, g.edges().collect::<Vec<_>>());
         for v in g.vertices() {
             let row: Vec<VertexId> = idx.row(v).iter().map(|&(w, _)| w).collect();
@@ -303,35 +216,87 @@ mod tests {
         }
     }
 
+    /// Triangle supports of the subgraph `keep` induces, counted from each
+    /// edge's common neighbours by brute force, in [`EdgeIndex`] id order.
+    fn brute_supports(g: &Graph, keep: &[bool]) -> Vec<u32> {
+        let kept = |v: VertexId| keep[v as usize];
+        g.edges()
+            .filter(|&(u, v)| kept(u) && kept(v))
+            .map(|(u, v)| {
+                g.neighbors(u)
+                    .iter()
+                    .filter(|&&w| kept(w) && g.has_edge(v, w))
+                    .count() as u32
+            })
+            .collect()
+    }
+
+    /// A hub over a path rim: the hub's degree dwarfs every other, the case
+    /// degree ordering exists for.
+    fn hub_over_rim() -> Graph {
+        let mut star: Vec<(VertexId, VertexId)> = (1..=40).map(|v| (0, v)).collect();
+        star.extend((1..40).map(|v| (v, v + 1)));
+        Graph::from_edges(41, &star)
+    }
+
     #[test]
     fn supports_match_brute_force_common_neighbours() {
         let mut rng = SmallRng::seed_from_u64(23);
         let (planted, _) = gen::planted_defective_clique(150, 14, 2, 0.05, &mut rng);
-        // A hub over a path rim: the hub's degree dwarfs every other, the
-        // case degree ordering exists for.
-        let mut star: Vec<(VertexId, VertexId)> = (1..=40).map(|v| (0, v)).collect();
-        star.extend((1..40).map(|v| (v, v + 1)));
         let graphs = [
             gen::gnp(60, 0.2, &mut rng),
             planted,
-            Graph::from_edges(41, &star),
+            hub_over_rim(),
             gen::chung_lu(300, 8.0, 2.3, &mut rng),
         ];
         for (i, g) in graphs.iter().enumerate() {
-            let (idx, support) = edge_supports(g);
-            let brute: Vec<u32> = idx
-                .edges
-                .iter()
-                .map(|&(u, v)| g.neighbors(u).iter().filter(|&&w| g.has_edge(v, w)).count() as u32)
-                .collect();
-            assert_eq!(support, brute, "graph {i}");
+            let all = vec![true; g.n()];
+            let support = count_supports(&EdgeIndex::induced(g, &all));
+            assert_eq!(support, brute_supports(g, &all), "graph {i}");
+        }
+    }
+
+    #[test]
+    fn supports_on_an_induced_index_count_only_kept_triangles() {
+        // The reducer counts only on the index of the core it keeps, so a
+        // triangle through a dropped vertex must not count, hub or not.
+        let mut rng = SmallRng::seed_from_u64(41);
+        let hub_heavy = gen::chung_lu(400, 8.0, 2.1, &mut rng);
+        let cases = [
+            // Drop every third vertex but keep the hubs.
+            (
+                hub_heavy.clone(),
+                (0..hub_heavy.n())
+                    .map(|v| v % 3 != 0 || hub_heavy.degree(v as VertexId) > 20)
+                    .collect::<Vec<bool>>(),
+            ),
+            // Drop the hubs themselves.
+            (
+                hub_heavy.clone(),
+                (0..hub_heavy.n())
+                    .map(|v| hub_heavy.degree(v as VertexId) <= 20)
+                    .collect(),
+            ),
+            // Cut a stretch out of the rim under the hub.
+            (
+                hub_over_rim(),
+                (0..41).map(|v| !(10..=20).contains(&v)).collect(),
+            ),
+        ];
+        for (i, (g, keep)) in cases.iter().enumerate() {
+            assert!(keep.iter().any(|&k| !k), "case {i} keeps a proper subset");
+            let idx = EdgeIndex::induced(g, keep);
+            let support = count_supports(&idx);
+            let brute = brute_supports(g, keep);
+            assert!(brute.iter().any(|&s| s > 0), "case {i} keeps a triangle");
+            assert_eq!(support, brute, "case {i}");
         }
     }
 
     #[test]
     fn supports_on_k4() {
         let k4 = gen::complete(4);
-        let (_, s) = edge_supports(&k4);
+        let s = count_supports(&EdgeIndex::induced(&k4, &[true; 4]));
         assert_eq!(s, vec![2; 6], "every K4 edge lies in 2 triangles");
     }
 
@@ -373,16 +338,26 @@ mod tests {
     }
 
     #[test]
-    fn trussness_levels_nested() {
+    fn truss_levels_nested() {
+        // Each k-truss lies inside the (k−1)-truss, and every edge of it has
+        // at least k − 2 common neighbours inside it.
         let mut rng = SmallRng::seed_from_u64(11);
         let g = gen::gnp(40, 0.3, &mut rng);
-        let (idx, t) = trussness(&g);
-        // An edge with trussness τ must appear in the τ-truss and not in the
-        // (τ+1)-truss.
-        for (e, &(u, v)) in idx.edges.iter().enumerate() {
-            let tau = t[e] as usize;
-            assert!(k_truss(&g, tau).has_edge(u, v));
-            assert!(!k_truss(&g, tau + 1).has_edge(u, v));
+        let mut outer = k_truss(&g, 2);
+        for k in 3.. {
+            let t = k_truss(&g, k);
+            for (u, v) in t.edges() {
+                assert!(
+                    outer.has_edge(u, v),
+                    "k={k}: {u}-{v} not in the outer level"
+                );
+                let shared = t.neighbors(u).iter().filter(|&&w| t.has_edge(v, w)).count();
+                assert!(shared >= k - 2, "k={k}: {u}-{v} has support {shared}");
+            }
+            if t.m() == 0 {
+                break;
+            }
+            outer = t;
         }
     }
 

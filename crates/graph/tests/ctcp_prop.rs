@@ -1,6 +1,6 @@
 //! Property tests for the incremental CTCP reducer: against random and
 //! planted instances, an incrementally tightened [`Ctcp`] must land on
-//! exactly the fixpoint the from-scratch `truss_filter` + `k_core`
+//! exactly the fixpoint the from-scratch `k_truss` + `k_core`
 //! iteration computes — same surviving vertices, same surviving edges —
 //! for every k and every point of a rising lower-bound schedule.
 //!
